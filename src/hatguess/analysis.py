@@ -20,13 +20,14 @@ point only for the transcendental bound formulas.
 from __future__ import annotations
 
 import math
+import os
 import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from multiprocessing import get_context
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import (
     CapacityError,
@@ -105,49 +106,61 @@ def _merge_partials(first: _Partial, second: _Partial) -> _Partial:
     )
 
 
-def _correct_count(strategy: StrategyProfile, red_mask: int, n: int, full: int) -> int:
+def _reduce(strategy: StrategyProfile, n: int, red_masks: Iterable[int]) -> _Partial:
+    """Score each distribution in ``red_masks``; ties in worst loss keep the earliest."""
+    full = full_mask(n)
     bulk = strategy.bulk
-    if bulk is not None:
-        return (~(bulk(red_mask) ^ red_mask) & full).bit_count()
-    return evaluate(strategy, HatDistribution(n, red_mask)).correct_count
+    if bulk is None:
+        def correct(red_mask: int) -> int:
+            return evaluate(strategy, HatDistribution(n, red_mask)).correct_count
+    else:
+        def correct(red_mask: int) -> int:
+            return (~(bulk(red_mask) ^ red_mask) & full).bit_count()
+    hist = [0] * (n + 1)
+    worst_loss = -1
+    witness = 0
+    for red_mask in red_masks:
+        cor = correct(red_mask)
+        hist[cor] += 1
+        r = red_mask.bit_count()
+        loss = max(r, n - r) - cor
+        if loss > worst_loss:
+            worst_loss = loss
+            witness = red_mask
+    min_correct = next((c for c, k in enumerate(hist) if k), n + 1)
+    total = sum(c * k for c, k in enumerate(hist))
+    return _Partial(min_correct, worst_loss, witness, hist, total, sum(hist))
 
 
 def _sweep_chunk(payload: tuple[StrategyProfile, int, int, int]) -> _Partial:
     """Score every distribution with index in [lo, hi).
 
     Index bit i-1 set means player i wears blue, so the sweep starts from
-    the all-red distribution; ties in worst loss keep the earliest index.
+    the all-red distribution.
     """
     strategy, n, lo, hi = payload
-    full = full_mask(n)
-    hist = [0] * (n + 1)
-    min_correct = n + 1
-    worst_loss = -1
-    witness = 0
-    total = 0
-    for idx in range(lo, hi):
-        red_mask = idx ^ full
-        cor = _correct_count(strategy, red_mask, n, full)
-        total += cor
-        hist[cor] += 1
-        if cor < min_correct:
-            min_correct = cor
-        r = red_mask.bit_count()
-        loss = max(r, n - r) - cor
-        if loss > worst_loss:
-            worst_loss = loss
-            witness = red_mask
-    return _Partial(min_correct, worst_loss, witness, hist, total, hi - lo)
+    return _reduce(strategy, n, map(full_mask(n).__xor__, range(lo, hi)))
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ContractError(f"need at least one worker, got {workers}")
+
+
+def _pool_size(workers: int, chunks: int) -> int:
+    """Worker processes to start: never more than the chunks or the CPUs."""
+    return min(workers, chunks, os.cpu_count() or 1)
 
 
 def _run_chunks(payloads: list[tuple], worker, workers: int) -> _Partial:
-    if workers > 1 and len(payloads) > 1 and _picklable(payloads[0][0]):
+    pool_size = _pool_size(workers, len(payloads))
+    if pool_size > 1 and _picklable(payloads[0][0]):
         try:
             ctx = get_context("fork")
         except ValueError:
             ctx = None
         if ctx is not None:
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            with ProcessPoolExecutor(max_workers=pool_size, mp_context=ctx) as pool:
                 parts = list(pool.map(worker, payloads))
             result = parts[0]
             for part in parts[1:]:
@@ -178,6 +191,7 @@ def exhaustive_worst_case(
             f"2^{n} distributions exceed the exhaustive range "
             f"(n <= {EXHAUSTIVE_MAX_N}); use monte_carlo for sampled checks"
         )
+    _check_workers(workers)
     count = 1 << n
     if workers > 1:
         step = max(1024, -(-count // (workers * 4)))
@@ -348,25 +362,7 @@ def _sample_chunk(
 ) -> _Partial:
     strategy, n, red_count, seed, chunk_index, count = payload
     rng = random.Random(_child_seed(seed, chunk_index))
-    full = full_mask(n)
-    hist = [0] * (n + 1)
-    min_correct = n + 1
-    worst_loss = -1
-    witness = 0
-    total = 0
-    for _ in range(count):
-        red_mask = _random_red_mask(rng, n, red_count)
-        cor = _correct_count(strategy, red_mask, n, full)
-        total += cor
-        hist[cor] += 1
-        if cor < min_correct:
-            min_correct = cor
-        r = red_mask.bit_count()
-        loss = max(r, n - r) - cor
-        if loss > worst_loss:
-            worst_loss = loss
-            witness = red_mask
-    return _Partial(min_correct, worst_loss, witness, hist, total, count)
+    return _reduce(strategy, n, (_random_red_mask(rng, n, red_count) for _ in range(count)))
 
 
 def monte_carlo(
@@ -388,6 +384,7 @@ def monte_carlo(
         raise ContractError(f"strategy is for n={strategy.n}, asked to sample n={n}")
     if trials < 1:
         raise ContractError(f"need at least one trial, got {trials}")
+    _check_workers(workers)
     if red_count == "uniform":
         red_count = None
     if red_count is not None:

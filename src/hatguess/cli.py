@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .analysis import (
     exhaustive_worst_case,
@@ -103,45 +104,38 @@ def _build_strategy(config: RunConfig, n: int):
     return partial_profile(params, n)
 
 
-def _emit(config: RunConfig, out, payload: dict, text_lines: list[str], csv_rows: list[tuple]):
-    if config.fmt == "json":
-        print(json.dumps(payload, indent=2), file=out)
-    elif config.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerows(csv_rows)
-    else:
-        for line in text_lines:
-            print(line, file=out)
+# A command returns its exit code, its record (the JSON document) and a
+# zero-argument function building its CSV table, header row first.
+Output = tuple[int, dict, Callable[[], list[tuple]]]
 
 
-def _cmd_eval(config: RunConfig, out) -> int:
+def _record_table(record: dict) -> Callable[[], list[tuple]]:
+    """A one-row table of every record field but the command name."""
+    keys = tuple(key for key in record if key != "command")
+    return lambda: [keys, tuple(record[key] for key in keys)]
+
+
+def _cmd_eval(config: RunConfig) -> Output:
     if not config.omega:
         raise ContractError("eval needs --omega")
     distribution = make_distribution(config.omega)
     strategy = _build_strategy(config, distribution.n)
-    record = evaluate(strategy, distribution)
-    rec = record.to_json_dict()
-    payload = {
+    result = evaluate(strategy, distribution)
+    record = {
         "command": "eval",
         "strategy": strategy.name,
         "n": distribution.n,
         "omega": distribution.to_text(),
-        **rec,
+        **result.to_json_dict(),
     }
-    text = [
-        f"strategy: {strategy.name}",
-        f"omega: {distribution.to_text()}",
-        f"guesses: {rec['guesses']}",
-        f"correct_count: {rec['correct_count']}",
-        f"correct_set: {rec['correct_set']}",
-    ]
-    rows: list[tuple] = [("player", "hat", "guess", "correct")]
-    for i in range(1, distribution.n + 1):
-        rows.append(
-            (i, distribution.to_text()[i - 1], rec["guesses"][i - 1], i in record.correct_set)
-        )
-    _emit(config, out, payload, text, rows)
-    return 0
+
+    def table() -> list[tuple]:
+        players = range(1, distribution.n + 1)
+        correct = (i in result.correct_set for i in players)
+        return [("player", "hat", "guess", "correct"),
+                *zip(players, record["omega"], record["guesses"], correct)]
+
+    return 0, record, table
 
 
 def _checked_bound(strategy_name: str, n: int):
@@ -155,14 +149,14 @@ def _checked_bound(strategy_name: str, n: int):
     return bound, theorem, checked
 
 
-def _cmd_sweep(config: RunConfig, out) -> int:
+def _cmd_sweep(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("sweep needs --n")
     strategy = _build_strategy(config, config.n)
     report = exhaustive_worst_case(strategy, config.n, workers=config.workers)
     bound, theorem, checked = _checked_bound(strategy.name, config.n)
     ok = report.worst_loss <= checked
-    payload = {
+    record = {
         "command": "sweep",
         "strategy": strategy.name,
         "n": config.n,
@@ -173,55 +167,35 @@ def _cmd_sweep(config: RunConfig, out) -> int:
         "checked_loss": checked,
         "bound_satisfied": ok,
     }
-    text = [
-        f"strategy: {strategy.name}",
-        f"n: {config.n}",
-        f"evaluated: {report.evaluated}",
-        f"min_correct: {report.min_correct}",
-        f"worst_loss: {report.worst_loss}",
-        f"witness: {report.witness.to_text()}",
-        f"total_correct: {report.total_correct}",
-        f"histogram: {dict(sorted(report.histogram.items()))}",
-        f"structural_loss: {bound.structural_loss}",
-        f"theorem_loss_even: {_fmt_float(bound.theorem_loss_even)}",
-        f"theorem_loss_general: {_fmt_float(bound.theorem_loss_general)}",
-        f"checked_loss: {_fmt_float(float(checked))}",
-        f"bound_satisfied: {ok}",
-    ]
-    _emit(config, out, payload, text, report.to_csv_rows())
-    return 0 if ok else 1
+    return (0 if ok else 1), record, report.to_csv_rows
 
 
-def _cmd_identity(config: RunConfig, out) -> int:
+def _cmd_identity(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("identity needs --n")
     result = identity_check(config.n)
-    payload = {
+    record = {
         "command": "identity",
         "n": config.n,
         "lhs": result.lhs,
         "rhs": result.rhs,
         "equal": result.equal,
     }
-    text = [f"n: {config.n}", f"lhs: {result.lhs}", f"rhs: {result.rhs}", f"equal: {result.equal}"]
-    rows = [("n", "lhs", "rhs", "equal"), (config.n, result.lhs, result.rhs, result.equal)]
-    _emit(config, out, payload, text, rows)
-    return 0 if result.equal else 1
+    return (0 if result.equal else 1), record, _record_table(record)
 
 
-def _cmd_bounds(config: RunConfig, out) -> int:
+def _cmd_bounds(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("bounds needs --n (upper end of the even range)")
     if config.n < 6 or config.n % 2:
         raise ContractError(f"bounds needs an even --n >= 6, got {config.n}")
-    rows_json = []
+    rows = []
     all_ok = True
     for n in range(6, config.n + 1, 2):
         plan = make_partition(n)
         bound = guarantee_bound(n, plan)
-        ok = bound.structural_loss <= bound.theorem_loss_even
-        all_ok = all_ok and ok
-        rows_json.append(
+        all_ok = all_ok and bound.structural_loss <= bound.theorem_loss_even
+        rows.append(
             {
                 "n": n,
                 "k": plan.k,
@@ -232,70 +206,25 @@ def _cmd_bounds(config: RunConfig, out) -> int:
                 "lower_bound_loss": lower_bound_loss(n),
             }
         )
-    payload = {"command": "bounds", "n_max": config.n, "rows": rows_json, "all_within_theorem": all_ok}
-    text = []
-    for row in rows_json:
-        text.append(
-            f"n={row['n']} k={row['k']} max_block={row['max_block']} "
-            f"structural_loss={row['structural_loss']} "
-            f"theorem_loss_even={_fmt_float(row['theorem_loss_even'])} "
-            f"theorem_loss_general={_fmt_float(row['theorem_loss_general'])} "
-            f"lower_bound_loss={_fmt_float(row['lower_bound_loss'])}"
-        )
-    text.append(f"all_within_theorem: {all_ok}")
-    csv_rows: list[tuple] = [
-        (
-            "n",
-            "k",
-            "max_block",
-            "structural_loss",
-            "theorem_loss_even",
-            "theorem_loss_general",
-            "lower_bound_loss",
-        )
-    ]
-    for row in rows_json:
-        csv_rows.append(
-            (
-                row["n"],
-                row["k"],
-                row["max_block"],
-                row["structural_loss"],
-                _fmt_float(row["theorem_loss_even"]),
-                _fmt_float(row["theorem_loss_general"]),
-                _fmt_float(row["lower_bound_loss"]),
-            )
-        )
-    _emit(config, out, payload, text, csv_rows)
-    return 0 if all_ok else 1
+    record = {"command": "bounds", "n_max": config.n, "rows": rows, "all_within_theorem": all_ok}
+    return (0 if all_ok else 1), record, lambda: [tuple(rows[0]), *(tuple(r.values()) for r in rows)]
 
 
-def _cmd_search_optimal(config: RunConfig, out) -> int:
+def _cmd_search_optimal(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("search-optimal needs --n")
     report = search_optimal(config.n)
-    payload = {
+    record = {
         "command": "search-optimal",
         "n": report.n,
         "best_min_correct": report.best_min_correct,
         "best_worst_loss": report.best_worst_loss,
         "strategies_enumerated": report.strategies_enumerated,
     }
-    text = [
-        f"n: {report.n}",
-        f"best_min_correct: {report.best_min_correct}",
-        f"best_worst_loss: {report.best_worst_loss}",
-        f"strategies_enumerated: {report.strategies_enumerated}",
-    ]
-    rows = [
-        ("n", "best_min_correct", "best_worst_loss", "strategies_enumerated"),
-        (report.n, report.best_min_correct, report.best_worst_loss, report.strategies_enumerated),
-    ]
-    _emit(config, out, payload, text, rows)
-    return 0
+    return 0, record, _record_table(record)
 
 
-def _cmd_sample(config: RunConfig, out) -> int:
+def _cmd_sample(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("sample needs --n")
     strategy = _build_strategy(config, config.n)
@@ -307,9 +236,9 @@ def _cmd_sample(config: RunConfig, out) -> int:
         seed=config.seed,
         workers=config.workers,
     )
-    bound, theorem, _ = _checked_bound(strategy.name, config.n)
+    _, theorem, _ = _checked_bound(strategy.name, config.n)
     ok = report.worst_loss <= theorem
-    payload = {
+    record = {
         "command": "sample",
         "strategy": strategy.name,
         "n": config.n,
@@ -320,39 +249,19 @@ def _cmd_sample(config: RunConfig, out) -> int:
         "theorem_loss": theorem,
         "bound_satisfied": ok,
     }
-    text = [
-        f"strategy: {strategy.name}",
-        f"n: {config.n}",
-        f"trials: {config.trials}",
-        f"seed: {config.seed}",
-        f"red_count: {payload['red_count']}",
-        f"min_correct: {report.min_correct}",
-        f"worst_loss: {report.worst_loss}",
-        f"witness: {report.witness.to_text()}",
-        f"theorem_loss: {_fmt_float(theorem)}",
-        f"bound_satisfied: {ok}",
-    ]
-    _emit(config, out, payload, text, report.to_csv_rows())
-    return 0 if ok else 1
+    return (0 if ok else 1), record, report.to_csv_rows
 
 
-def _cmd_plan(config: RunConfig, out) -> int:
+def _cmd_plan(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("plan needs --n")
     plan = make_partition(config.n)
-    payload = plan.to_json_dict()
-    text = [
-        f"n: {payload['n']}",
-        f"k: {payload['k']}",
-        f"l: {payload['l']}",
-        f"block_sizes: {payload['block_sizes']}",
-        f"blocks: {payload['blocks']}",
-    ]
-    rows: list[tuple] = [("block", "size", "first", "last")]
-    for idx, block in enumerate(plan.blocks, start=1):
-        rows.append((idx, len(block), block[0], block[-1]))
-    _emit(config, out, payload, text, rows)
-    return 0
+
+    def table() -> list[tuple]:
+        return [("block", "size", "first", "last"),
+                *((i, len(b), b[0], b[-1]) for i, b in enumerate(plan.blocks, start=1))]
+
+    return 0, plan.to_json_dict(), table
 
 
 _HANDLERS = {
@@ -364,6 +273,57 @@ _HANDLERS = {
     "sample": _cmd_sample,
     "plan": _cmd_plan,
 }
+
+# The record fields each command prints as text, one "name: value" line
+# each; "report.x" reaches into the nested report, and a list of rows
+# prints one "k=v ..." line per row.
+_TEXT_KEYS = {
+    "eval": ("strategy", "omega", "guesses", "correct_count", "correct_set"),
+    "sweep": (
+        "strategy", "n", "report.evaluated", "report.min_correct", "report.worst_loss",
+        "report.witness", "report.total_correct", "report.histogram", "structural_loss",
+        "theorem_loss_even", "theorem_loss_general", "checked_loss", "bound_satisfied",
+    ),
+    "identity": ("n", "lhs", "rhs", "equal"),
+    "bounds": ("rows", "all_within_theorem"),
+    "search-optimal": ("n", "best_min_correct", "best_worst_loss", "strategies_enumerated"),
+    "sample": (
+        "strategy", "n", "trials", "seed", "red_count", "report.min_correct",
+        "report.worst_loss", "report.witness", "theorem_loss", "bound_satisfied",
+    ),
+    "plan": ("n", "k", "l", "block_sizes", "blocks"),
+}
+
+
+def _text(value) -> str:
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_text(v)}" for k, v in value.items()) + "}"
+    return str(value)
+
+
+def _text_lines(record: dict, keys: tuple[str, ...]):
+    for key in keys:
+        value = record
+        for name in key.split("."):
+            value = value[name]
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            for row in value:
+                yield " ".join(f"{k}={_text(v)}" for k, v in row.items())
+        else:
+            yield f"{name}: {_text(value)}"
+
+
+def _render(config: RunConfig, out, record: dict, table: Callable[[], list[tuple]]) -> None:
+    if config.fmt == "json":
+        print(json.dumps(record, indent=2), file=out)
+    elif config.fmt == "csv":
+        rows = ([_fmt_float(v) if isinstance(v, float) else v for v in row] for row in table())
+        csv.writer(out, lineterminator="\n").writerows(rows)
+    else:
+        for line in _text_lines(record, _TEXT_KEYS[config.command]):
+            print(line, file=out)
 
 
 def _add_format(sp) -> None:
@@ -447,10 +407,12 @@ def run(config: RunConfig, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        return _HANDLERS[config.command](config, out)
+        code, record, table = _HANDLERS[config.command](config)
     except HatGameError as exc:
         print(f"error: {exc}", file=err)
         return 2
+    _render(config, out, record, table)
+    return code
 
 
 def main(argv=None) -> int:

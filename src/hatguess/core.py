@@ -44,11 +44,6 @@ class Color(Enum):
         return self.value
 
 
-def player_bit(player: int) -> int:
-    """Bit holding player ``player`` (players are numbered from 1)."""
-    return 1 << (player - 1)
-
-
 def mask_of(players: Iterable[int]) -> int:
     """Bitmask holding every player index in ``players``."""
     m = 0

@@ -24,6 +24,7 @@ fast path used by the exhaustive and sampled sweeps.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .core import (
@@ -242,41 +243,63 @@ class PartialStrategyParams:
         return mask_of(self.members)
 
 
-class PartialRule:
-    """Threshold rule for the members of one block; rejects outside observers."""
+class BlockThresholdRule:
+    """The block rule S(T, a, b) on every block of a game.
 
-    def __init__(self, params: PartialStrategyParams):
-        self.params = params
-        self._mask = params.members_mask
-        self._pairing_rule = PairingRule(params.pairing)
+    A member of block i who sees v red hats in the block calls red when
+    v >= red_min, blue when v <= blue_max, and plays the pairing rule
+    otherwise.  ``thresholds`` either fixes (blue_max, red_min) per block
+    (the partial strategy) or is a plan, whose blocks then read their
+    thresholds from the hats outside the block via compute_thresholds (the
+    composite).  The modular offset in a plan's thresholds lets at most one
+    block (the one indexed by the total red count mod k) land in its two bad
+    cases.  Players in no block play the pairing; players the pairing does
+    not cover are rejected.
+    """
+
+    def __init__(
+        self,
+        pairing: Pairing,
+        blocks: tuple[Collection[int], ...],
+        thresholds: tuple[tuple[int, int], ...] | PartitionPlan,
+    ):
+        self.plan = thresholds if isinstance(thresholds, PartitionPlan) else None
+        fixed = (None,) * len(blocks) if self.plan is not None else thresholds
+        self._blocks = tuple(zip(map(mask_of, blocks), fixed))
+        self._block_of = {p: i for i, block in enumerate(blocks) for p in block}
+        self._pairing_rule = PairingRule(pairing)
+        self._covered = mask_of(pairing.covers)
+        self._unblocked = self._covered & ~mask_of(self._block_of)
 
     def __call__(self, observer: int, view: VisibleView) -> Color:
-        if observer not in self.params.members:
-            raise ContractError(f"player {observer} is not in the block")
-        visible_reds = view.count_red(self._mask ^ (1 << (observer - 1)))
-        if visible_reds >= self.params.red_min:
+        i = self._block_of.get(observer)
+        if i is None:
+            return self._pairing_rule(observer, view)
+        block_mask, thresholds = self._blocks[i]
+        blue_max, red_min = thresholds or compute_thresholds(view, self.plan, i + 1)
+        visible_reds = view.count_red(block_mask ^ (1 << (observer - 1)))
+        if visible_reds >= red_min:
             return Color.RED
-        if visible_reds <= self.params.blue_max:
+        if visible_reds <= blue_max:
             return Color.BLUE
         return self._pairing_rule(observer, view)
 
     def bulk_guesses(self, red_mask: int) -> int:
-        return _threshold_block_guesses(
-            red_mask,
-            self._mask,
-            self.params.blue_max,
-            self.params.red_min,
-            self._pairing_rule.bulk_guesses(red_mask),
-        )
+        pairing_g = self._pairing_rule.bulk_guesses(red_mask)
+        r = (red_mask & self._covered).bit_count()
+        g = pairing_g & self._unblocked
+        for i, (block_mask, thresholds) in enumerate(self._blocks, start=1):
+            reds = red_mask & block_mask
+            c = reds.bit_count()
+            blue_max, red_min = thresholds or compute_thresholds(r - c, self.plan, i)
+            g |= _threshold_block_guesses(reds, block_mask ^ reds, c, blue_max, red_min, pairing_g)
+        return g
 
 
 def _threshold_block_guesses(
-    red_mask: int, block_mask: int, blue_max: int, red_min: int, pairing_guesses: int
+    reds: int, blues: int, c: int, blue_max: int, red_min: int, pairing_guesses: int
 ) -> int:
-    """Red-guess bits of one block under the threshold rule (bulk path)."""
-    c = (red_mask & block_mask).bit_count()
-    reds = red_mask & block_mask
-    blues = block_mask & ~red_mask
+    """Red-guess bits of one block with c red hats under the threshold rule (bulk path)."""
     g = 0
     # red wearers see c-1 red hats in the block, blue wearers see c
     if c - 1 >= red_min:
@@ -290,33 +313,11 @@ def _threshold_block_guesses(
     return g
 
 
-def partial_strategy(params: PartialStrategyParams) -> PartialRule:
+def partial_strategy(params: PartialStrategyParams) -> BlockThresholdRule:
     """Guess rule for the members of one block (raises for other observers)."""
-    return PartialRule(params)
-
-
-class PartialProfileRule:
-    """Full-game embedding: block members play the threshold rule, the rest pair up."""
-
-    def __init__(self, params: PartialStrategyParams, n: int):
-        self.n = n
-        self.params = params
-        self._partial = PartialRule(params)
-        self._pairing_rule = PairingRule(canonical_pairing(n))
-        self._full = full_mask(n)
-        self._block_mask = params.members_mask
-
-    def __call__(self, observer: int, view: VisibleView) -> Color:
-        if observer in self.params.members:
-            return self._partial(observer, view)
-        return self._pairing_rule(observer, view)
-
-    def bulk_guesses(self, red_mask: int) -> int:
-        pairing_g = self._pairing_rule.bulk_guesses(red_mask)
-        block_g = _threshold_block_guesses(
-            red_mask, self._block_mask, self.params.blue_max, self.params.red_min, pairing_g
-        )
-        return block_g | (pairing_g & self._full & ~self._block_mask)
+    return BlockThresholdRule(
+        params.pairing, (params.members,), ((params.blue_max, params.red_min),)
+    )
 
 
 def partial_profile(params: PartialStrategyParams, n: int) -> StrategyProfile:
@@ -328,7 +329,10 @@ def partial_profile(params: PartialStrategyParams, n: int) -> StrategyProfile:
     canonical = canonical_pairing(n)
     if set(params.pairing.pairs) != set(canonical.restricted_to(params.members).pairs):
         raise ContractError("block must consist of whole canonical pairs")
-    return StrategyProfile(n, PartialProfileRule(params, n), "partial")
+    rule = BlockThresholdRule(
+        canonical, (params.members,), ((params.blue_max, params.red_min),)
+    )
+    return StrategyProfile(n, rule, "partial")
 
 
 def lemma_table_bound(distribution: HatDistribution, params: PartialStrategyParams) -> int:
@@ -391,17 +395,14 @@ class PartitionPlan:
         expected = (big,) * self.large_blocks + (small,) * (self.k - self.large_blocks)
         if sizes != expected or big - small not in (0, 2):
             raise ContractError(f"block sizes {sizes} do not follow the large/small split")
+        block_of = {p: idx for idx, block in enumerate(self.blocks, start=1) for p in block}
         for x, y in self.pairing.pairs:
-            if not any(x in b and y in b for b in self.blocks):
+            if x not in block_of or block_of[x] != block_of.get(y):
                 raise ContractError(f"pair ({x}, {y}) straddles a block boundary")
         masks = tuple(mask_of(b) for b in self.blocks)
         object.__setattr__(self, "_masks", masks)
         full = full_mask(self.n)
         object.__setattr__(self, "_outside", tuple(full ^ m for m in masks))
-        block_of = {}
-        for idx, block in enumerate(self.blocks, start=1):
-            for p in block:
-                block_of[p] = idx
         object.__setattr__(self, "_block_of", block_of)
 
     @property
@@ -491,46 +492,6 @@ def compute_thresholds(
     return red_min - plan.k - 1, red_min
 
 
-class CompositeRule:
-    """Partitioned threshold strategy for even n >= 6.
-
-    Every member of block i derives the block's thresholds from the hats
-    outside the block, then plays the block threshold rule.  The modular
-    offset in the thresholds guarantees that for any distribution at most
-    one block (the one indexed by the total red count mod k) can land in
-    its two bad cases.
-    """
-
-    def __init__(self, plan: PartitionPlan):
-        self.plan = plan
-        self._pairing_rule = PairingRule(plan.pairing)
-        self._full = full_mask(plan.n)
-
-    def __call__(self, observer: int, view: VisibleView) -> Color:
-        plan = self.plan
-        i = plan.block_of(observer)
-        blue_max, red_min = compute_thresholds(view, plan, i)
-        visible_reds = view.count_red(plan.block_mask(i) ^ (1 << (observer - 1)))
-        if visible_reds >= red_min:
-            return Color.RED
-        if visible_reds <= blue_max:
-            return Color.BLUE
-        return self._pairing_rule(observer, view)
-
-    def bulk_guesses(self, red_mask: int) -> int:
-        plan = self.plan
-        r = (red_mask & self._full).bit_count()
-        pairing_g = self._pairing_rule.bulk_guesses(red_mask)
-        g = 0
-        for i in range(1, plan.k + 1):
-            block_mask = plan.block_mask(i)
-            blue_max, red_min = compute_thresholds(
-                r - (red_mask & block_mask).bit_count(), plan, i
-            )
-            g |= _threshold_block_guesses(red_mask, block_mask, blue_max, red_min, pairing_g)
-        return g
-
-
 class SpectatorCompositeRule:
     """Odd-n reduction: player n guesses the majority of what they see
     (tie -> red) and everyone else plays the even-n composite on players
@@ -561,7 +522,8 @@ def _even_composite_rule(n: int) -> GuessRule:
         # no partition into >= 2 even blocks exists at n = 2 and the bound
         # is loose enough at n = 4: the plain pairing already meets it
         return PairingRule(canonical_pairing(n))
-    return CompositeRule(make_partition(n))
+    plan = make_partition(n)
+    return BlockThresholdRule(plan.pairing, plan.blocks, plan)
 
 
 def composite_strategy(n: int) -> StrategyProfile:

@@ -1,0 +1,78 @@
+"""Worker-count validation and the pool-size cap, checked without starting processes."""
+
+import pytest
+
+from hatguess import (
+    ContractError,
+    composite_strategy,
+    exhaustive_worst_case,
+    monte_carlo,
+)
+from hatguess import analysis
+from hatguess.cli import main
+
+
+@pytest.mark.parametrize(
+    "workers,chunks,cpus,expected",
+    [
+        (1, 8, 4, 1),
+        (2, 8, 4, 2),
+        (100_000, 4, 64, 4),    # never more processes than chunks
+        (100_000, 16384, 2, 2),  # never more processes than CPUs
+        (8, 8, None, 1),         # unknown CPU count: run serially
+    ],
+)
+def test_pool_size_is_capped(monkeypatch, workers, chunks, cpus, expected):
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+    assert analysis._pool_size(workers, chunks) == expected
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_chunks_starts_the_capped_pool(monkeypatch):
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.sizes.clear()
+    strategy = composite_strategy(12)
+    capped = exhaustive_worst_case(strategy, 12, workers=100_000)
+    assert RecordingPool.sizes == [3]
+    assert capped == exhaustive_worst_case(strategy, 12, workers=1)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_and_sample_reject_fewer_than_one_worker(workers):
+    strategy = composite_strategy(12)
+    with pytest.raises(ContractError, match="worker"):
+        exhaustive_worst_case(strategy, 12, workers=workers)
+    with pytest.raises(ContractError, match="worker"):
+        monte_carlo(strategy, 12, trials=10, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--strategy", "composite", "--n", "12", "--workers", "0"],
+        ["sample", "--strategy", "composite", "--n", "12", "--trials", "10", "--workers", "-3"],
+    ],
+)
+def test_cli_exits_2_on_fewer_than_one_worker(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one worker" in captured.err
