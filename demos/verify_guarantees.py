@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Exhaustively verify the composite strategy's worst-case guarantee.
 
-For each even n the strategy is scored on every one of the 2^n hat
-distributions.  The observed worst loss below max{r, b} must stay within
-the structural bound max_block/2 + (k-1)^2, which in turn stays below the
-closed form 1.2 * n^(2/3) + 1.  Odd n goes through the spectator
-reduction and is held to the general bound 1.2 * n^(2/3) + 2.
+For each n from 6 up to the exhaustive cap of 24 the strategy is scored
+on every one of the 2^n hat distributions.  The observed worst loss below
+max{r, b} must stay within the structural bound max_block/2 + (k-1)^2,
+which in turn stays below the closed form 1.2 * n^(2/3) + 1.  Odd n goes
+through the spectator reduction and is held to the general bound
+1.2 * n^(2/3) + 2.
 """
 
 import time
@@ -17,11 +18,12 @@ from hatguess import (
     lower_bound_loss,
     make_partition,
 )
+from hatguess.analysis import EXHAUSTIVE_MAX_N
 
 
 def main():
     print(f"{'n':>4} {'plan':>16} {'worst':>6} {'structural':>11} {'theorem':>9} {'floor':>7}")
-    for n in range(6, 19):
+    for n in range(6, EXHAUSTIVE_MAX_N + 1):
         start = time.perf_counter()
         report = exhaustive_worst_case(composite_strategy(n), n, workers=4)
         elapsed = time.perf_counter() - start

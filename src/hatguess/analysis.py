@@ -7,6 +7,13 @@ histogram, and the exact total over all distributions.  Chunks of the
 sweep merge associatively, so splitting the index range across worker
 processes cannot change the result.
 
+An exhaustive sweep of a rule that declares its ``parts`` (see
+``strategies``) meets in the middle: it splits the players into a low and
+a high half along part boundaries, scores each half once per counted red
+count of the other half, and combines the two by multiplicity.  The bit
+sweep, one bulk call per distribution, serves every other rule and is the
+reference the tests compare the factored sweep against.
+
 Alongside the sweeps sit the exact combinatorial checks: the averaging
 identity (every no-peek strategy totals n * 2^(n-1) correct guesses over
 all distributions), its binomial-sum form, the central-binomial floor
@@ -25,6 +32,7 @@ import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from multiprocessing import get_context
 from typing import Iterable, NamedTuple
@@ -127,7 +135,11 @@ def _reduce(strategy: StrategyProfile, n: int, red_masks: Iterable[int]) -> _Par
         if loss > worst_loss:
             worst_loss = loss
             witness = red_mask
-    min_correct = next((c for c, k in enumerate(hist) if k), n + 1)
+    return _finish(hist, worst_loss, witness)
+
+
+def _finish(hist: list[int], worst_loss: int, witness: int) -> _Partial:
+    min_correct = next((c for c, k in enumerate(hist) if k), len(hist))
     total = sum(c * k for c, k in enumerate(hist))
     return _Partial(min_correct, worst_loss, witness, hist, total, sum(hist))
 
@@ -142,6 +154,154 @@ def _sweep_chunk(payload: tuple[StrategyProfile, int, int, int]) -> _Partial:
     return _reduce(strategy, n, map(full_mask(n).__xor__, range(lo, hi)))
 
 
+def _lowest_bits(mask: int, k: int) -> int:
+    """The k lowest set bits of ``mask``."""
+    out = 0
+    for _ in range(k):
+        bit = mask & -mask
+        out |= bit
+        mask ^= bit
+    return out
+
+
+def _split_point(n: int, part_masks: tuple[int, ...]) -> int:
+    """The boundary m nearest n/2 (ties go low) with every part inside
+    players 1..m or inside m+1..n; m = 0 always qualifies."""
+    cuts = (
+        m for m in range(n + 1)
+        if all(p >> m == 0 or p & ((1 << m) - 1) == 0 for p in part_masks)
+    )
+    return min(cuts, key=lambda m: abs(2 * m - n))
+
+
+def _check_parts(strategy: StrategyProfile, n: int) -> tuple[int, int]:
+    """Validate the rule's ``parts`` against the players; return (counted mask, m)."""
+    counted, part_masks = strategy.guess_rule.parts  # type: ignore[attr-defined]
+    full = full_mask(n)
+    union = 0
+    for p in part_masks:
+        if p & union or not p or p & ~full:
+            raise ContractError(f"{strategy.name}: parts overlap, are empty or exceed n={n}")
+        union |= p
+    if union != full or counted & ~full:
+        raise ContractError(f"{strategy.name}: parts must cover exactly the players 1..{n}")
+    return counted, _split_point(n, part_masks)
+
+
+# _low_table()[k_high][k_low] = (histogram of correct guesses among players
+# 1..m, rows (r_low, fewest correct, smallest low index with that many))
+_LowTable = list[list[tuple[list[int], tuple[tuple[int, int, int], ...]]]]
+
+
+def _low_table(strategy: StrategyProfile, n: int, m: int, counted: int) -> _LowTable:
+    """Score every low pattern (players 1..m) once per counted red count of
+    the high players, through the real bulk rule on a representative mask.
+
+    Low patterns are keyed by their counted red count k_low; for each red
+    count r_low only the fewest correct guesses matter to the worst loss,
+    and the earliest pattern reaching them to the witness.
+    """
+    bulk = strategy.bulk
+    low = (1 << m) - 1
+    counted_low, counted_high = counted & low, counted & ~low
+    table: _LowTable = []
+    for k_high in range(counted_high.bit_count() + 1):
+        rest = _lowest_bits(counted_high, k_high)
+        hists = [[0] * (m + 1) for _ in range(counted_low.bit_count() + 1)]
+        fewest: list[dict[int, tuple[int, int]]] = [{} for _ in hists]
+        for index in range(1 << m):
+            red = low ^ index
+            both = red | rest
+            cor = (~(bulk(both) ^ both) & low).bit_count()
+            k_low = (red & counted_low).bit_count()
+            hists[k_low][cor] += 1
+            r_low = red.bit_count()
+            seen = fewest[k_low].get(r_low)
+            if seen is None or cor < seen[0]:
+                fewest[k_low][r_low] = (cor, index)
+        table.append([
+            (hist, tuple((r_low, cor, index) for r_low, (cor, index) in rows.items()))
+            for hist, rows in zip(hists, fewest)
+        ])
+    return table
+
+
+def _factored_chunk(
+    payload: tuple[StrategyProfile, int, int, int, _LowTable, int, int]
+) -> _Partial:
+    """Score every distribution whose high index (players m+1..n) is in [lo, hi).
+
+    Each high pattern is scored once per counted red count of the low
+    players; the low table then supplies every low pattern at once.
+    Distributions sit in the bit sweep's index order, high index major,
+    so the witness is the bit sweep's.
+    """
+    strategy, n, m, counted, table, lo, hi = payload
+    bulk = strategy.bulk
+    full = full_mask(n)
+    low = (1 << m) - 1
+    high = full ^ low
+    counted_low, counted_high = counted & low, counted & high
+    reps = [_lowest_bits(counted_low, k) for k in range(counted_low.bit_count() + 1)]
+    # (k_high, k_low, r_high, correct among high) -> [first high index, count]
+    seen: dict[tuple[int, int, int, int], list[int]] = {}
+    for index in range(lo, hi):
+        red = high ^ (index << m)
+        r_high = red.bit_count()
+        k_high = (red & counted_high).bit_count()
+        for k_low, rep in enumerate(reps):
+            both = red | rep
+            key = (k_high, k_low, r_high, (~(bulk(both) ^ both) & high).bit_count())
+            entry = seen.get(key)
+            if entry is None:
+                seen[key] = [index, 1]
+            else:
+                entry[1] += 1
+    hist = [0] * (n + 1)
+    worst_loss, witness_index = -1, 0
+    for (k_high, k_low, r_high, cor_high), (first, count) in seen.items():
+        low_hist, rows = table[k_high][k_low]
+        for cor_low, mult in enumerate(low_hist):
+            hist[cor_low + cor_high] += mult * count
+        for r_low, cor_low, low_index in rows:
+            r = r_low + r_high
+            loss = max(r, n - r) - cor_low - cor_high
+            index = first << m | low_index
+            if loss > worst_loss or (loss == worst_loss and index < witness_index):
+                worst_loss, witness_index = loss, index
+    return _finish(hist, worst_loss, full ^ witness_index)
+
+
+def _factored_sweep(strategy: StrategyProfile, n: int, workers: int) -> _Partial:
+    """The exhaustive sweep of a rule with ``parts``, split at m = _split_point."""
+    counted, m = _check_parts(strategy, n)
+    table = _low_table(strategy, n, m, counted)
+    payloads = [
+        (strategy, n, m, counted, table, lo, hi)
+        for lo, hi in _ranges(1 << (n - m), workers, 1)
+    ]
+    return _run_chunks(payloads, _factored_chunk, workers)
+
+
+def _check_witness(strategy: StrategyProfile, n: int, part: _Partial) -> None:
+    """Re-score the factored sweep's witness through the bulk rule on the full mask."""
+    red = part.witness_red_mask
+    r = red.bit_count()
+    loss = max(r, n - r) - (~(strategy.bulk(red) ^ red) & full_mask(n)).bit_count()
+    if loss != part.worst_loss:
+        raise ContractError(
+            f"{strategy.name}: the factored sweep found worst loss {part.worst_loss} "
+            f"at {HatDistribution(n, red).to_text()}, where the bulk rule loses {loss}; "
+            f"the rule's parts declaration does not hold"
+        )
+
+
+def _ranges(count: int, workers: int, min_step: int) -> list[tuple[int, int]]:
+    """Split [0, count) into about 4 chunks per worker, each at least ``min_step`` long."""
+    step = max(min_step, -(-count // (4 * workers))) if workers > 1 else count
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ContractError(f"need at least one worker, got {workers}")
@@ -152,24 +312,23 @@ def _pool_size(workers: int, chunks: int) -> int:
     return min(workers, chunks, os.cpu_count() or 1)
 
 
+def _mp_context():
+    """Fork where the platform has it, so workers inherit the loaded modules;
+    spawn elsewhere."""
+    try:
+        return get_context("fork")
+    except ValueError:
+        return get_context("spawn")
+
+
 def _run_chunks(payloads: list[tuple], worker, workers: int) -> _Partial:
     pool_size = _pool_size(workers, len(payloads))
     if pool_size > 1 and _picklable(payloads[0][0]):
-        try:
-            ctx = get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is not None:
-            with ProcessPoolExecutor(max_workers=pool_size, mp_context=ctx) as pool:
-                parts = list(pool.map(worker, payloads))
-            result = parts[0]
-            for part in parts[1:]:
-                result = _merge_partials(result, part)
-            return result
-    result = worker(payloads[0])
-    for payload in payloads[1:]:
-        result = _merge_partials(result, worker(payload))
-    return result
+        with ProcessPoolExecutor(max_workers=pool_size, mp_context=_mp_context()) as pool:
+            parts = list(pool.map(worker, payloads))
+    else:
+        parts = map(worker, payloads)
+    return reduce(_merge_partials, parts)
 
 
 def _picklable(obj) -> bool:
@@ -192,13 +351,12 @@ def exhaustive_worst_case(
             f"(n <= {EXHAUSTIVE_MAX_N}); use monte_carlo for sampled checks"
         )
     _check_workers(workers)
-    count = 1 << n
-    if workers > 1:
-        step = max(1024, -(-count // (workers * 4)))
+    if strategy.bulk is not None and getattr(strategy.guess_rule, "parts", None) is not None:
+        part = _factored_sweep(strategy, n, workers)
+        _check_witness(strategy, n, part)
     else:
-        step = count
-    payloads = [(strategy, n, lo, min(lo + step, count)) for lo in range(0, count, step)]
-    part = _run_chunks(payloads, _sweep_chunk, workers)
+        payloads = [(strategy, n, lo, hi) for lo, hi in _ranges(1 << n, workers, 1024)]
+        part = _run_chunks(payloads, _sweep_chunk, workers)
     return WorstCaseReport(
         strategy_name=strategy.name,
         n=n,

@@ -198,7 +198,12 @@ class StrategyProfile:
     object may additionally expose ``bulk_guesses(red_mask) -> guess_mask``
     as a whole-profile fast path for sweeps; bit i-1 of the result means
     player i guesses red.  The fast path must agree with the per-player
-    rule everywhere (this is tested, not assumed).
+    rule everywhere (this is tested, not assumed).  A rule with a fast path
+    may also declare ``parts = (counted_mask, part_masks)``: part masks that
+    partition the players, such that the guess bits inside each part depend
+    only on the hats in that part and on ``popcount(red_mask & counted_mask)``.
+    Exhaustive sweeps of such a rule score each half of the players once per
+    counted red count instead of every distribution.
     """
 
     n: int

@@ -19,7 +19,9 @@ Four strategies live here:
 Rule objects are immutable after construction, pure, and picklable, so
 sweeps can fan them out across worker processes.  Each built-in rule also
 implements ``bulk_guesses(red_mask) -> guess_mask``, a whole-profile bit
-fast path used by the exhaustive and sampled sweeps.
+fast path used by the exhaustive and sampled sweeps, and declares its
+structure in ``parts`` (the contract is on ``StrategyProfile``), which
+lets the exhaustive sweep factor.
 """
 
 from __future__ import annotations
@@ -146,6 +148,11 @@ class PairingRule:
         seen = view.color_of(partner)
         return seen if self.pairing.is_first(observer) else seen.opposite()
 
+    @property
+    def parts(self) -> tuple[int, tuple[int, ...]]:
+        """Each pair reads only its own two hats."""
+        return 0, tuple(1 << (x - 1) | 1 << (y - 1) for x, y in self.pairing.pairs)
+
     def bulk_guesses(self, red_mask: int) -> int:
         if self._x_mask is not None:
             # canonical layout: each x reads the bit above, each y negates the bit below
@@ -183,6 +190,11 @@ class MajorityRule:
     def __call__(self, observer: int, view: VisibleView) -> Color:
         reds = view.visible_red_count()
         return self._decide(reds, self.n - 1 - reds)
+
+    @property
+    def parts(self) -> tuple[int, tuple[int, ...]]:
+        """Each player reads only their own hat and the total red count."""
+        return self._full, tuple(1 << i for i in range(self.n))
 
     def bulk_guesses(self, red_mask: int) -> int:
         r = (red_mask & self._full).bit_count()
@@ -283,6 +295,19 @@ class BlockThresholdRule:
         if visible_reds <= blue_max:
             return Color.BLUE
         return self._pairing_rule(observer, view)
+
+    @property
+    def parts(self) -> tuple[int, tuple[int, ...]] | None:
+        """The blocks and the unblocked pairs; a plan's thresholds read the
+        covered red count, fixed thresholds read nothing outside the block."""
+        block_of = self._block_of.get
+        if any(block_of(x) != block_of(y) for x, y in self._pairing_rule.pairing.pairs):
+            return None  # a pair across two blocks ties their guesses together
+        counted = self._covered if self.plan is not None else 0
+        pairs = self._pairing_rule.parts[1]
+        return counted, tuple(mask for mask, _ in self._blocks) + tuple(
+            pair for pair in pairs if pair & self._unblocked
+        )
 
     def bulk_guesses(self, red_mask: int) -> int:
         pairing_g = self._pairing_rule.bulk_guesses(red_mask)
@@ -508,6 +533,15 @@ class SpectatorCompositeRule:
             reds = view.count_red(self._inner_full)
             return Color.RED if reds >= self._inner_half else Color.BLUE
         return self.inner(observer, view)
+
+    @property
+    def parts(self) -> tuple[int, tuple[int, ...]] | None:
+        """The inner parts plus the spectator, who reads every inner hat."""
+        inner = getattr(self.inner, "parts", None)
+        if inner is None:
+            return None
+        counted, masks = inner
+        return counted | self._inner_full, masks + (1 << (self.n - 1),)
 
     def bulk_guesses(self, red_mask: int) -> int:
         inner_bulk = self.inner.bulk_guesses  # type: ignore[attr-defined]

@@ -71,3 +71,18 @@ def test_exhaustive_worst_loss_within_structural_bound(plan_composite, n, k):
     structural = guarantee_bound(n, plan).structural_loss
     assert report.worst_loss <= structural
     assert (report.worst_loss, structural) == PINNED[(n, k)]
+
+
+# (n, k) -> (exact worst loss, structural bound); equal-sized blocks, certified
+# by the factored exhaustive sweep
+FACTORED_PINNED = {(20, 5): (9, 18), (24, 4): (9, 12), (24, 6): (11, 27)}
+
+
+@pytest.mark.parametrize("n,k", sorted(FACTORED_PINNED))
+def test_exact_certificates_for_larger_k3_plus_plans(plan_composite, n, k):
+    plan, strategy = plan_composite(n, k)
+    report = exhaustive_worst_case(strategy, n)
+    structural = guarantee_bound(n, plan).structural_loss
+    assert report.evaluated == 1 << n
+    assert report.total_correct == n << (n - 1)  # the averaging identity
+    assert (report.worst_loss, structural) == FACTORED_PINNED[(n, k)]

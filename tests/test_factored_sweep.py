@@ -1,0 +1,197 @@
+"""The factored exhaustive sweep against the bit sweep, its reference.
+
+Rules that declare ``parts`` are swept by scoring a low and a high half of
+the players once per counted red count of the other half.  Every report
+here must equal, field for field, the bit sweep's (``_sweep_chunk`` over
+all 2^n distributions): min, worst loss, earliest witness, histogram,
+total and count.
+"""
+
+import pytest
+
+from hatguess import (
+    Color,
+    ContractError,
+    Pairing,
+    PartialStrategyParams,
+    PartitionPlan,
+    StrategyProfile,
+    canonical_pairing,
+    composite_strategy,
+    exhaustive_worst_case,
+    majority_strategy,
+    pairing_strategy,
+    partial_profile,
+)
+from hatguess import analysis, strategies
+from hatguess.analysis import _Partial, _sweep_chunk
+
+
+def refuse_bit_sweep(payload):
+    raise AssertionError("the bit sweep ran where the factored sweep should")
+
+
+def assert_factored_exact(monkeypatch, strategy, n, workers=1):
+    want = _sweep_chunk((strategy, n, 0, 1 << n))
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_sweep_chunk", refuse_bit_sweep)
+        report = exhaustive_worst_case(strategy, n, workers=workers)
+    got = _Partial(
+        report.min_correct,
+        report.worst_loss,
+        report.witness.red_mask,
+        [report.histogram.get(c, 0) for c in range(n + 1)],
+        report.total_correct,
+        report.evaluated,
+    )
+    assert report.mode == "exhaustive"
+    assert got == want
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_pairing(monkeypatch, n):
+    assert_factored_exact(monkeypatch, pairing_strategy(canonical_pairing(n)), n)
+
+
+@pytest.mark.parametrize("tie_break", [Color.RED, Color.BLUE])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_majority(monkeypatch, n, tie_break):
+    assert_factored_exact(monkeypatch, majority_strategy(n, tie_break), n)
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+def test_composite(monkeypatch, n):
+    assert_factored_exact(monkeypatch, composite_strategy(n), n)
+
+
+def equal_plan(n, k):
+    size = n // k
+    blocks = tuple(tuple(range(start, start + size)) for start in range(1, n + 1, size))
+    return PartitionPlan(n, k, k, blocks, canonical_pairing(n))
+
+
+@pytest.mark.parametrize("spectator", [0, 1])
+@pytest.mark.parametrize("n,k", [(12, 3), (16, 4), (18, 3), (12, 6), (16, 2)])
+def test_hand_built_plans(monkeypatch, n, k, spectator):
+    plan = equal_plan(n, k)
+    monkeypatch.setattr(strategies, "make_partition", lambda _n: plan)
+    strategy = composite_strategy(n + spectator)
+    assert_factored_exact(monkeypatch, strategy, n + spectator)
+
+
+@pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+@pytest.mark.parametrize("n", [10, 12, 14])
+@pytest.mark.parametrize("size,blue_max,red_min", [(4, 0, 2), (6, 1, 4)])
+def test_partial_profile(monkeypatch, n, where, size, blue_max, red_min):
+    start = {"bottom": 1, "middle": 2 * ((n - size) // 4) + 1, "top": n - size + 1}[where]
+    members = frozenset(range(start, start + size))
+    params = PartialStrategyParams(
+        members, blue_max, red_min, canonical_pairing(n).restricted_to(members)
+    )
+    assert_factored_exact(monkeypatch, partial_profile(params, n), n)
+
+
+def chain_pairing(n):
+    """(1,3), (2,5), (4,7), ..., (n-2, n): some pair straddles every boundary."""
+    return Pairing(((1, 3),) + tuple((j, j + 3) for j in range(2, n - 3, 2)) + ((n - 2, n),))
+
+
+@pytest.mark.parametrize("n", range(6, 15, 2))
+def test_pairs_across_every_boundary_split_at_zero(monkeypatch, n):
+    strategy = pairing_strategy(chain_pairing(n))
+    assert analysis._split_point(n, strategy.guess_rule.parts[1]) == 0
+    assert_factored_exact(monkeypatch, strategy, n)
+
+
+def test_blocks_tied_by_a_pair_declare_no_parts():
+    # blocks {1,3} and {2,4} under the pairs (1,2), (3,4): every pair crosses them
+    rule = strategies.BlockThresholdRule(
+        canonical_pairing(4), ((1, 3), (2, 4)), ((-1, 1), (-1, 1))
+    )
+    assert rule.parts is None
+    strategy = StrategyProfile(4, rule, "tied-blocks")
+    report = exhaustive_worst_case(strategy, 4)
+    assert (report.worst_loss, report.witness.red_mask) == _sweep_chunk((strategy, 4, 0, 16))[1:3]
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor and maps in-process, so no process starts."""
+
+    def __init__(self, max_workers, mp_context):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "strategy,n,workers",
+    [(composite_strategy(17), 17, 3), (majority_strategy(13), 13, 5), (composite_strategy(14), 14, 64)],
+)
+def test_chunked_high_walk(monkeypatch, strategy, n, workers):
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+    assert_factored_exact(monkeypatch, strategy, n, workers=workers)
+
+
+class CountsTooLittle:
+    """The spectator around the n = 2 pairing, declaring that it counts no hat.
+
+    The spectator reads hats 1 and 2, so the true counted mask is 0b011.
+    """
+
+    def __init__(self):
+        self.rule = composite_strategy(3).guess_rule
+        self.parts = (0, self.rule.parts[1])
+
+    def __call__(self, observer, view):
+        return self.rule(observer, view)
+
+    def bulk_guesses(self, red_mask):
+        return self.rule.bulk_guesses(red_mask)
+
+
+def test_oracle_catches_a_counted_mask_too_small():
+    strategy = StrategyProfile(3, CountsTooLittle(), "counts-too-little")
+    factored = analysis._factored_sweep(strategy, 3, workers=1)
+    oracle = _sweep_chunk((strategy, 3, 0, 8))
+    assert (factored.worst_loss, oracle.worst_loss) == (2, 1)
+    assert factored != oracle
+    with pytest.raises(ContractError, match="parts declaration does not hold"):
+        exhaustive_worst_case(strategy, 3)
+
+
+class MissesAPlayer(CountsTooLittle):
+    def __init__(self):
+        super().__init__()
+        self.parts = (0b011, self.rule.parts[1][:-1])
+
+
+def test_parts_must_cover_every_player():
+    strategy = StrategyProfile(3, MissesAPlayer(), "misses-a-player")
+    with pytest.raises(ContractError, match="cover exactly"):
+        exhaustive_worst_case(strategy, 3)
+
+
+def test_factored_sweep_calls_the_bulk_rule_far_fewer_times():
+    strategy = composite_strategy(21)
+    rule = strategy.guess_rule
+    bulk = rule.bulk_guesses
+    calls = 0
+
+    def counting(red_mask):
+        nonlocal calls
+        calls += 1
+        return bulk(red_mask)
+
+    rule.bulk_guesses = counting
+    report = exhaustive_worst_case(strategy, 21)
+    assert calls < 40_000  # the bit sweep calls it 2^21 = 2_097_152 times
+    assert report.evaluated == 1 << 21
+    assert report.total_correct == 21 << 20  # the averaging identity

@@ -76,3 +76,29 @@ def test_cli_exits_2_on_fewer_than_one_worker(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least one worker" in captured.err
+
+
+class ContextRecordingPool(RecordingPool):
+    """Records the multiprocessing context it is given; starts no process."""
+
+    contexts = []
+
+    def __init__(self, max_workers, mp_context):
+        self.contexts.append(mp_context)
+
+
+@pytest.mark.parametrize("fork_available,expected", [(True, "fork"), (False, "spawn")])
+def test_run_chunks_picks_fork_else_spawn(monkeypatch, fork_available, expected):
+    def get_context(method):
+        if method == "fork" and not fork_available:
+            raise ValueError("cannot find context for 'fork'")
+        return f"{method} context"
+
+    monkeypatch.setattr(analysis, "get_context", get_context)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", ContextRecordingPool)
+    ContextRecordingPool.contexts.clear()
+    strategy = composite_strategy(12)
+    pooled = exhaustive_worst_case(strategy, 12, workers=2)
+    assert ContextRecordingPool.contexts == [f"{expected} context"]
+    assert pooled == exhaustive_worst_case(strategy, 12, workers=1)
