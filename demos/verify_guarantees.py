@@ -25,7 +25,7 @@ def main():
     print(f"{'n':>4} {'plan':>16} {'worst':>6} {'structural':>11} {'theorem':>9} {'floor':>7}")
     for n in range(6, EXHAUSTIVE_MAX_N + 1):
         start = time.perf_counter()
-        report = exhaustive_worst_case(composite_strategy(n), n, workers=4)
+        report = exhaustive_worst_case(composite_strategy(n), n)
         elapsed = time.perf_counter() - start
         if n % 2 == 0:
             plan = make_partition(n)

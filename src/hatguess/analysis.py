@@ -3,16 +3,17 @@
 Sweeps walk every distribution of n hats (or a seeded sample of them),
 score a strategy on each, and reduce to a worst-case report: the minimum
 correct count, the worst shortfall below max{r, b} with a witness, a
-histogram, and the exact total over all distributions.  Chunks of the
-sweep merge associatively, so splitting the index range across worker
-processes cannot change the result.
+histogram, and the exact total over all distributions.
 
 An exhaustive sweep of a rule that declares its ``parts`` (see
-``strategies``) meets in the middle: it splits the players into a low and
-a high half along part boundaries, scores each half once per counted red
-count of the other half, and combines the two by multiplicity.  The bit
-sweep, one bulk call per distribution, serves every other rule and is the
-reference the tests compare the factored sweep against.
+``strategies``) meets in the middle, in one process: it splits the
+players into a low and a high half along part boundaries, tabulates each
+half once per counted red count of the other half, and joins the two
+tables by multiplicity.  The bit sweep, one bulk call per distribution,
+serves every other rule and is the reference the tests compare the
+factored sweep against.  The bit sweep and the sampler split their work
+into chunks that merge associatively, so spreading them across worker
+processes cannot change the result.
 
 Alongside the sweeps sit the exact combinatorial checks: the averaging
 identity (every no-peek strategy totals n * 2^(n-1) correct guesses over
@@ -188,99 +189,64 @@ def _check_parts(strategy: StrategyProfile, n: int) -> tuple[int, int]:
     return counted, _split_point(n, part_masks)
 
 
-# _low_table()[k_high][k_low] = (histogram of correct guesses among players
-# 1..m, rows (r_low, fewest correct, smallest low index with that many))
-_LowTable = list[list[tuple[list[int], tuple[tuple[int, int, int], ...]]]]
+def _half_table(bulk, half_mask: int, shift: int, counted_self: int, counted_other: int):
+    """Score every pattern of one half (index i puts ``i << shift`` blue) once
+    per counted red count of the other half, through the real bulk rule on
+    a representative mask.
 
-
-def _low_table(strategy: StrategyProfile, n: int, m: int, counted: int) -> _LowTable:
-    """Score every low pattern (players 1..m) once per counted red count of
-    the high players, through the real bulk rule on a representative mask.
-
-    Low patterns are keyed by their counted red count k_low; for each red
-    count r_low only the fewest correct guesses matter to the worst loss,
-    and the earliest pattern reaching them to the witness.
+    Returns table[k_other][k_self] = (histogram of correct guesses inside
+    the half, {red count in the half: (fewest correct, earliest index)}):
+    only the fewest correct guesses matter to the worst loss, and the
+    earliest pattern reaching them to the witness.
     """
-    bulk = strategy.bulk
-    low = (1 << m) - 1
-    counted_low, counted_high = counted & low, counted & ~low
-    table: _LowTable = []
-    for k_high in range(counted_high.bit_count() + 1):
-        rest = _lowest_bits(counted_high, k_high)
-        hists = [[0] * (m + 1) for _ in range(counted_low.bit_count() + 1)]
+    size = half_mask.bit_count()
+    table = []
+    for k_other in range(counted_other.bit_count() + 1):
+        rest = _lowest_bits(counted_other, k_other)
+        hists = [[0] * (size + 1) for _ in range(counted_self.bit_count() + 1)]
         fewest: list[dict[int, tuple[int, int]]] = [{} for _ in hists]
-        for index in range(1 << m):
-            red = low ^ index
+        for index in range(1 << size):
+            red = half_mask ^ (index << shift)
             both = red | rest
-            cor = (~(bulk(both) ^ both) & low).bit_count()
-            k_low = (red & counted_low).bit_count()
-            hists[k_low][cor] += 1
-            r_low = red.bit_count()
-            seen = fewest[k_low].get(r_low)
+            cor = (~(bulk(both) ^ both) & half_mask).bit_count()
+            k_self = (red & counted_self).bit_count()
+            hists[k_self][cor] += 1
+            r_self = red.bit_count()
+            seen = fewest[k_self].get(r_self)
             if seen is None or cor < seen[0]:
-                fewest[k_low][r_low] = (cor, index)
-        table.append([
-            (hist, tuple((r_low, cor, index) for r_low, (cor, index) in rows.items()))
-            for hist, rows in zip(hists, fewest)
-        ])
+                fewest[k_self][r_self] = (cor, index)
+        table.append(list(zip(hists, fewest)))
     return table
 
 
-def _factored_chunk(
-    payload: tuple[StrategyProfile, int, int, int, _LowTable, int, int]
-) -> _Partial:
-    """Score every distribution whose high index (players m+1..n) is in [lo, hi).
-
-    Each high pattern is scored once per counted red count of the low
-    players; the low table then supplies every low pattern at once.
-    Distributions sit in the bit sweep's index order, high index major,
-    so the witness is the bit sweep's.
-    """
-    strategy, n, m, counted, table, lo, hi = payload
-    bulk = strategy.bulk
+def _factored_sweep(strategy: StrategyProfile, n: int) -> _Partial:
+    """The exhaustive sweep of a rule with ``parts``: join the two half tables
+    at m = _split_point for every (k_high, k_low).  The index of a
+    distribution is ``high << m | low``, as in the bit sweep, so keeping the
+    smallest index among ties keeps the bit sweep's witness."""
+    counted, m = _check_parts(strategy, n)
     full = full_mask(n)
     low = (1 << m) - 1
     high = full ^ low
-    counted_low, counted_high = counted & low, counted & high
-    reps = [_lowest_bits(counted_low, k) for k in range(counted_low.bit_count() + 1)]
-    # (k_high, k_low, r_high, correct among high) -> [first high index, count]
-    seen: dict[tuple[int, int, int, int], list[int]] = {}
-    for index in range(lo, hi):
-        red = high ^ (index << m)
-        r_high = red.bit_count()
-        k_high = (red & counted_high).bit_count()
-        for k_low, rep in enumerate(reps):
-            both = red | rep
-            key = (k_high, k_low, r_high, (~(bulk(both) ^ both) & high).bit_count())
-            entry = seen.get(key)
-            if entry is None:
-                seen[key] = [index, 1]
-            else:
-                entry[1] += 1
+    lows = _half_table(strategy.bulk, low, 0, counted & low, counted & high)
+    highs = _half_table(strategy.bulk, high, m, counted & high, counted & low)
     hist = [0] * (n + 1)
-    worst_loss, witness_index = -1, 0
-    for (k_high, k_low, r_high, cor_high), (first, count) in seen.items():
-        low_hist, rows = table[k_high][k_low]
-        for cor_low, mult in enumerate(low_hist):
-            hist[cor_low + cor_high] += mult * count
-        for r_low, cor_low, low_index in rows:
-            r = r_low + r_high
-            loss = max(r, n - r) - cor_low - cor_high
-            index = first << m | low_index
-            if loss > worst_loss or (loss == worst_loss and index < witness_index):
-                worst_loss, witness_index = loss, index
-    return _finish(hist, worst_loss, full ^ witness_index)
-
-
-def _factored_sweep(strategy: StrategyProfile, n: int, workers: int) -> _Partial:
-    """The exhaustive sweep of a rule with ``parts``, split at m = _split_point."""
-    counted, m = _check_parts(strategy, n)
-    table = _low_table(strategy, n, m, counted)
-    payloads = [
-        (strategy, n, m, counted, table, lo, hi)
-        for lo, hi in _ranges(1 << (n - m), workers, 1)
-    ]
-    return _run_chunks(payloads, _factored_chunk, workers)
+    worst_loss, witness = -1, 0
+    for k_high, row in enumerate(lows):
+        for k_low, (low_hist, low_fewest) in enumerate(row):
+            high_hist, high_fewest = highs[k_low][k_high]
+            for cor_high, count in enumerate(high_hist):
+                if count:
+                    for cor_low, mult in enumerate(low_hist):
+                        hist[cor_high + cor_low] += count * mult
+            for r_high, (cor_high, first_high) in high_fewest.items():
+                for r_low, (cor_low, first_low) in low_fewest.items():
+                    r = r_high + r_low
+                    loss = max(r, n - r) - cor_high - cor_low
+                    index = first_high << m | first_low
+                    if loss > worst_loss or (loss == worst_loss and index < witness):
+                        worst_loss, witness = loss, index
+    return _finish(hist, worst_loss, full ^ witness)
 
 
 def _check_witness(strategy: StrategyProfile, n: int, part: _Partial) -> None:
@@ -296,9 +262,9 @@ def _check_witness(strategy: StrategyProfile, n: int, part: _Partial) -> None:
         )
 
 
-def _ranges(count: int, workers: int, min_step: int) -> list[tuple[int, int]]:
-    """Split [0, count) into about 4 chunks per worker, each at least ``min_step`` long."""
-    step = max(min_step, -(-count // (4 * workers))) if workers > 1 else count
+def _ranges(count: int, workers: int) -> list[tuple[int, int]]:
+    """Split [0, count) into about 4 chunks per worker, each at least 1024 long."""
+    step = max(1024, -(-count // (4 * workers))) if workers > 1 else count
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
@@ -323,20 +289,17 @@ def _mp_context():
 
 def _run_chunks(payloads: list[tuple], worker, workers: int) -> _Partial:
     pool_size = _pool_size(workers, len(payloads))
-    if pool_size > 1 and _picklable(payloads[0][0]):
-        with ProcessPoolExecutor(max_workers=pool_size, mp_context=_mp_context()) as pool:
-            parts = list(pool.map(worker, payloads))
-    else:
-        parts = map(worker, payloads)
-    return reduce(_merge_partials, parts)
-
-
-def _picklable(obj) -> bool:
+    if pool_size == 1:
+        return reduce(_merge_partials, map(worker, payloads))
     try:
-        pickle.dumps(obj)
-        return True
-    except Exception:
-        return False
+        pickle.dumps(payloads[0][0])
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ContractError(
+            f"{payloads[0][0].name} cannot be sent to {pool_size} worker processes "
+            f"({exc}); run it with workers=1"
+        ) from None
+    with ProcessPoolExecutor(max_workers=pool_size, mp_context=_mp_context()) as pool:
+        return reduce(_merge_partials, pool.map(worker, payloads))
 
 
 def exhaustive_worst_case(
@@ -352,10 +315,10 @@ def exhaustive_worst_case(
         )
     _check_workers(workers)
     if strategy.bulk is not None and getattr(strategy.guess_rule, "parts", None) is not None:
-        part = _factored_sweep(strategy, n, workers)
+        part = _factored_sweep(strategy, n)
         _check_witness(strategy, n, part)
     else:
-        payloads = [(strategy, n, lo, hi) for lo, hi in _ranges(1 << n, workers, 1024)]
+        payloads = [(strategy, n, lo, hi) for lo, hi in _ranges(1 << n, workers)]
         part = _run_chunks(payloads, _sweep_chunk, workers)
     return WorstCaseReport(
         strategy_name=strategy.name,

@@ -45,6 +45,7 @@ STRATEGY_NAMES = ("pairing", "majority", "composite", "partial")
 
 @dataclass(frozen=True)
 class RunConfig:
+    # field names are the parser's dests, so a parsed namespace fills it as is
     command: str
     strategy: str | None = None
     n: int | None = None
@@ -386,21 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        strategy=getattr(ns, "strategy", None),
-        n=getattr(ns, "n", None),
-        omega=getattr(ns, "omega", None),
-        tie_break=getattr(ns, "tie_break", None),
-        blue_max=getattr(ns, "blue_max", None),
-        red_min=getattr(ns, "red_min", None),
-        block=getattr(ns, "block", None),
-        trials=getattr(ns, "trials", 10_000),
-        seed=getattr(ns, "seed", 0),
-        red_count=getattr(ns, "red_count", None),
-        workers=getattr(ns, "workers", 1),
-        fmt=getattr(ns, "fmt", "text"),
-    )
+    return RunConfig(**vars(ns))
 
 
 def run(config: RunConfig, out=None, err=None) -> int:

@@ -114,29 +114,20 @@ def test_blocks_tied_by_a_pair_declare_no_parts():
     assert (report.worst_loss, report.witness.red_mask) == _sweep_chunk((strategy, 4, 0, 16))[1:3]
 
 
-class InProcessPool:
-    """Stands in for ProcessPoolExecutor and maps in-process, so no process starts."""
+class NoPool:
+    """Stands in for ProcessPoolExecutor and fails if any pool is asked for."""
 
     def __init__(self, max_workers, mp_context):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+        raise AssertionError("the factored sweep asked for a process pool")
 
 
 @pytest.mark.parametrize(
     "strategy,n,workers",
     [(composite_strategy(17), 17, 3), (majority_strategy(13), 13, 5), (composite_strategy(14), 14, 64)],
 )
-def test_chunked_high_walk(monkeypatch, strategy, n, workers):
+def test_factored_sweep_starts_no_pool(monkeypatch, strategy, n, workers):
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
     assert_factored_exact(monkeypatch, strategy, n, workers=workers)
 
 
@@ -159,7 +150,7 @@ class CountsTooLittle:
 
 def test_oracle_catches_a_counted_mask_too_small():
     strategy = StrategyProfile(3, CountsTooLittle(), "counts-too-little")
-    factored = analysis._factored_sweep(strategy, 3, workers=1)
+    factored = analysis._factored_sweep(strategy, 3)
     oracle = _sweep_chunk((strategy, 3, 0, 8))
     assert (factored.worst_loss, oracle.worst_loss) == (2, 1)
     assert factored != oracle

@@ -3,7 +3,9 @@
 import pytest
 
 from hatguess import (
+    Color,
     ContractError,
+    StrategyProfile,
     composite_strategy,
     exhaustive_worst_case,
     monte_carlo,
@@ -50,9 +52,9 @@ def test_run_chunks_starts_the_capped_pool(monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes.clear()
     strategy = composite_strategy(12)
-    capped = exhaustive_worst_case(strategy, 12, workers=100_000)
+    capped = monte_carlo(strategy, 12, trials=5000, workers=100_000)  # 5 chunks
     assert RecordingPool.sizes == [3]
-    assert capped == exhaustive_worst_case(strategy, 12, workers=1)
+    assert capped == monte_carlo(strategy, 12, trials=5000, workers=1)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -99,6 +101,23 @@ def test_run_chunks_picks_fork_else_spawn(monkeypatch, fork_available, expected)
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", ContextRecordingPool)
     ContextRecordingPool.contexts.clear()
     strategy = composite_strategy(12)
-    pooled = exhaustive_worst_case(strategy, 12, workers=2)
+    pooled = monte_carlo(strategy, 12, trials=5000, workers=2)
     assert ContextRecordingPool.contexts == [f"{expected} context"]
-    assert pooled == exhaustive_worst_case(strategy, 12, workers=1)
+    assert pooled == monte_carlo(strategy, 12, trials=5000, workers=1)
+
+
+class RefusingPool:
+    """Stands in for ProcessPoolExecutor and fails if any pool is started."""
+
+    def __init__(self, max_workers, mp_context):
+        raise AssertionError("a pool started for a rule that cannot be pickled")
+
+
+def test_unpicklable_rule_needs_one_worker(monkeypatch):
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RefusingPool)
+    strategy = StrategyProfile(12, lambda obs, view: Color.RED, "always-red")
+    with pytest.raises(ContractError, match="workers=1"):
+        exhaustive_worst_case(strategy, 12, workers=2)  # 4 chunks of 1024
+    with pytest.raises(ContractError, match="workers=1"):
+        monte_carlo(strategy, 12, trials=5000, workers=2)  # 5 chunks of 1024
