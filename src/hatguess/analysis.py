@@ -463,19 +463,63 @@ def _child_seed(seed: int, chunk_index: int) -> int:
 
 
 def _random_red_mask(rng: random.Random, n: int, red_count: int | None) -> int:
+    """A red mask drawn uniformly over all 2^n, or over the C(n, red_count)
+    masks with exactly ``red_count`` set bits.
+
+    The fixed-composition draw works on the minority color, k of n bits.
+    It starts from i.i.d. Bernoulli(p) bits, p = floor(256k/n)/256, built
+    from whole random words: going from the lowest bit of p to the highest,
+    OR in a fresh word where p's bit is 1 and AND one in where it is 0, so
+    each step maps a bit's probability q to (1 + q)/2 or q/2.  ANDing into
+    the empty mask changes nothing, so those words are not drawn.  Then
+    single-bit fix-ups at uniform positions bring the popcount to exactly
+    k: set a uniformly random clear bit while it is below k, clear a
+    uniformly random set bit while it is above.
+
+    The draw is exact.  The starting mask's law is invariant under every
+    permutation of the players, and so is each fix-up step, whose choice
+    depends only on the popcount.  So the result's law is invariant too,
+    and permutations carry any mask with k set bits to any other: it is
+    uniform over the C(n, k) of them.  The majority color is the complement.
+    """
     if red_count is None:
         return rng.getrandbits(n)
-    # seeded shuffle of a fixed-composition sequence, realized as a sampled
-    # position set for the minority color
-    if red_count <= n - red_count:
-        mask = 0
-        for pos in rng.sample(range(n), red_count):
-            mask |= 1 << pos
-        return mask
+    k = min(red_count, n - red_count)
+    p = (k << 8) // n
     mask = 0
-    for pos in rng.sample(range(n), n - red_count):
-        mask |= 1 << pos
-    return full_mask(n) ^ mask
+    for bit in range(8):
+        if p >> bit & 1:
+            mask |= rng.getrandbits(n)
+        elif mask:
+            mask &= rng.getrandbits(n)
+    count = mask.bit_count()
+    # the fix-ups only set bits or only clear them; a uniform position hits
+    # a set bit with probability count/n, so below 1/16 pick one by rank
+    while count > k and 16 * count < n:
+        mask ^= _nth_set_bit(mask, rng.randrange(count))
+        count -= 1
+    surplus = count > k
+    step = -1 if surplus else 1
+    width = (n - 1).bit_length()
+    while count != k:
+        # a uniform position in 0..n-1, kept only if its bit needs flipping
+        pos = rng.getrandbits(width)
+        if pos < n and (mask >> pos & 1) == surplus:
+            mask ^= 1 << pos
+            count += step
+    return mask if k == red_count else full_mask(n) ^ mask
+
+
+def _nth_set_bit(mask: int, j: int) -> int:
+    """The set bit of ``mask`` with j set bits below it, by bisection."""
+    lo, hi = 0, mask.bit_length()  # the bit's position lies in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask & ((1 << mid) - 1)).bit_count() > j:
+            hi = mid
+        else:
+            lo = mid
+    return 1 << lo
 
 
 def _sample_chunk(

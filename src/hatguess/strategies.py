@@ -267,6 +267,11 @@ class BlockThresholdRule:
     block (the one indexed by the total red count mod k) land in its two bad
     cases.  Players in no block play the pairing; players the pairing does
     not cover are rejected.
+
+    The bulk path looks each block's thresholds up in a table built once
+    here, indexed by the outside red count modulo its length: a plan's
+    thresholds repeat every k, fixed ones never change.  The per-player
+    path still derives them through compute_thresholds, as the cross-check.
     """
 
     def __init__(
@@ -275,9 +280,15 @@ class BlockThresholdRule:
         blocks: tuple[Collection[int], ...],
         thresholds: tuple[tuple[int, int], ...] | PartitionPlan,
     ):
-        self.plan = thresholds if isinstance(thresholds, PartitionPlan) else None
-        fixed = (None,) * len(blocks) if self.plan is not None else thresholds
-        self._blocks = tuple(zip(map(mask_of, blocks), fixed))
+        plan = self.plan = thresholds if isinstance(thresholds, PartitionPlan) else None
+        if plan is None:
+            tables = [(pair,) for pair in thresholds]
+        else:
+            tables = [
+                tuple(compute_thresholds(o, plan, i) for o in range(plan.k))
+                for i in range(1, len(blocks) + 1)
+            ]
+        self._blocks = tuple(zip(map(mask_of, blocks), tables))
         self._block_of = {p: i for i, block in enumerate(blocks) for p in block}
         self._pairing_rule = PairingRule(pairing)
         self._covered = mask_of(pairing.covers)
@@ -287,8 +298,11 @@ class BlockThresholdRule:
         i = self._block_of.get(observer)
         if i is None:
             return self._pairing_rule(observer, view)
-        block_mask, thresholds = self._blocks[i]
-        blue_max, red_min = thresholds or compute_thresholds(view, self.plan, i + 1)
+        block_mask, table = self._blocks[i]
+        if self.plan is None:
+            blue_max, red_min = table[0]
+        else:
+            blue_max, red_min = compute_thresholds(view, self.plan, i + 1)
         visible_reds = view.count_red(block_mask ^ (1 << (observer - 1)))
         if visible_reds >= red_min:
             return Color.RED
@@ -313,29 +327,20 @@ class BlockThresholdRule:
         pairing_g = self._pairing_rule.bulk_guesses(red_mask)
         r = (red_mask & self._covered).bit_count()
         g = pairing_g & self._unblocked
-        for i, (block_mask, thresholds) in enumerate(self._blocks, start=1):
+        for block_mask, table in self._blocks:
             reds = red_mask & block_mask
             c = reds.bit_count()
-            blue_max, red_min = thresholds or compute_thresholds(r - c, self.plan, i)
-            g |= _threshold_block_guesses(reds, block_mask ^ reds, c, blue_max, red_min, pairing_g)
+            blue_max, red_min = table[(r - c) % len(table)]
+            # red wearers see c-1 red hats in the block, blue wearers see c
+            if c > red_min:  # everyone calls red
+                g |= block_mask
+            elif c > blue_max + 1:  # red wearers play the pairing, blue ones too below red_min
+                g |= pairing_g & block_mask if c < red_min else pairing_g & reds | block_mask ^ reds
+            elif c == red_min:  # thresholds closer than 2: red wearers call blue, blue ones red
+                g |= block_mask ^ reds
+            elif c > blue_max:  # red wearers call blue, blue ones play the pairing
+                g |= pairing_g & (block_mask ^ reds)
         return g
-
-
-def _threshold_block_guesses(
-    reds: int, blues: int, c: int, blue_max: int, red_min: int, pairing_guesses: int
-) -> int:
-    """Red-guess bits of one block with c red hats under the threshold rule (bulk path)."""
-    g = 0
-    # red wearers see c-1 red hats in the block, blue wearers see c
-    if c - 1 >= red_min:
-        g |= reds
-    elif c - 1 > blue_max:
-        g |= pairing_guesses & reds
-    if c >= red_min:
-        g |= blues
-    elif c > blue_max:
-        g |= pairing_guesses & blues
-    return g
 
 
 def partial_strategy(params: PartialStrategyParams) -> BlockThresholdRule:

@@ -23,6 +23,7 @@ from hatguess import (
     search_optimal,
     total_correct_over_omega,
 )
+from hatguess.core import full_mask
 from hatguess.analysis import _merge_partials, _random_red_mask, _sweep_chunk
 
 
@@ -257,6 +258,70 @@ def test_monte_carlo_red_count_composition():
             assert mask.bit_count() == red_count
     uniform_masks = {_random_red_mask(rng, 100, None).bit_count() for _ in range(50)}
     assert len(uniform_masks) > 1
+
+
+def chi_square_critical(df, z=3.719):
+    """Wilson-Hilferty approximation of the chi-square quantile at p = 1e-4."""
+    h = 2 / (9 * df)
+    return df * (1 - h + z * math.sqrt(h)) ** 3
+
+
+# every k for n = 5..8; (64, 1) and (64, 2) start sparse enough that
+# clearing a surplus bit goes through the pick by rank
+FIXED_COMPOSITIONS = [(n, k) for n in range(5, 9) for k in range(1, n)] + [(64, 1), (64, 2)]
+
+
+@pytest.mark.parametrize("n, k", FIXED_COMPOSITIONS)
+def test_random_red_mask_is_uniform_over_compositions(n, k):
+    rng = random.Random(1000 * n + k)
+    cells = math.comb(n, k)
+    draws = 40 * cells
+    counts = {}
+    for _ in range(draws):
+        mask = _random_red_mask(rng, n, k)
+        assert mask.bit_count() == k and mask >> n == 0
+        counts[mask] = counts.get(mask, 0) + 1
+    expected = draws / cells
+    # cells never drawn add expected each
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    chi2 += (cells - len(counts)) * expected
+    assert chi2 < chi_square_critical(cells - 1), (n, k, chi2)
+
+
+def test_random_red_mask_extremes():
+    rng = random.Random(4)
+    for n in (1, 5, 8, 1000):
+        assert _random_red_mask(rng, n, 0) == 0
+        assert _random_red_mask(rng, n, n) == full_mask(n)
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+def test_random_red_mask_single_minority_hat_at_n1000():
+    # a single red (or blue) hat needs no start words, only a few
+    # 10-bit positions: the draw returns at once
+    for red_count in (1, 999):
+        rng = CountingRandom(red_count)
+        for _ in range(100):
+            mask = _random_red_mask(rng, 1000, red_count)
+            assert mask.bit_count() == red_count
+        assert rng.words < 200
+
+
+def test_monte_carlo_fixed_count_worker_count_invariant():
+    strategy = composite_strategy(100)
+    a = monte_carlo(strategy, 100, trials=2500, seed=3, red_count=60, workers=1)
+    b = monte_carlo(strategy, 100, trials=2500, seed=3, red_count=60, workers=2)
+    assert a == b
+    assert a.witness.red_count == 60
 
 
 def test_monte_carlo_uniform_keyword():

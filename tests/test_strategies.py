@@ -11,6 +11,7 @@ from hatguess import (
     HatDistribution,
     Pairing,
     PartialStrategyParams,
+    StrategyProfile,
     VisibleView,
     canonical_pairing,
     composite_strategy,
@@ -24,7 +25,8 @@ from hatguess import (
     partial_profile,
     partial_strategy,
 )
-from hatguess.core import full_mask
+from hatguess.core import full_mask, mask_of
+from hatguess.strategies import BlockThresholdRule
 
 
 def block_params(size, blue_max, red_min):
@@ -470,6 +472,63 @@ def test_bulk_matches_per_player_sampled(n):
             mask = rng.getrandbits(n) & full_mask(n)
             record = evaluate(strategy, HatDistribution(n, mask))
             assert strategy.bulk(mask) == guesses_to_mask(record), (strategy.name, n, mask)
+
+
+def threshold_boundary_masks(n, blocks, thresholds_for, period, rng):
+    """Masks of players 1..n putting each block's red count c at blue_max,
+    blue_max+1, red_min-1, red_min and red_min+1, for every residue of the
+    outside red count mod ``period``; the other hats are random."""
+    for i, block in enumerate(blocks, start=1):
+        inside = set(block)
+        outside = [p for p in range(1, n + 1) if p not in inside]
+        for residue in range(period):
+            o = residue + period * rng.randrange((len(outside) - residue) // period + 1)
+            blue_max, red_min = thresholds_for(o, i)
+            for c in sorted({blue_max, blue_max + 1, red_min - 1, red_min, red_min + 1}):
+                if 0 <= c <= len(block):
+                    yield mask_of(rng.sample(block, c)) | mask_of(rng.sample(outside, o))
+
+
+def plan_boundary_masks(plan, rng):
+    return threshold_boundary_masks(
+        plan.n, plan.blocks, lambda o, i: compute_thresholds(o, plan, i), plan.k, rng
+    )
+
+
+def assert_bulk_matches_per_player(strategy, masks):
+    for mask in masks:
+        record = evaluate(strategy, HatDistribution(strategy.n, mask))
+        assert strategy.bulk(mask) == guesses_to_mask(record), (strategy.name, strategy.n, mask)
+
+
+@pytest.mark.parametrize("n", [34, 100, 256, 1000, 35, 999])
+def test_bulk_matches_per_player_at_plan_thresholds(n):
+    strategy = composite_strategy(n)
+    rule = strategy.guess_rule
+    plan = rule.plan if n % 2 == 0 else rule.inner.plan  # odd n: the spectator's inner plan
+    assert plan.k >= 3
+    rng = random.Random(n)
+    spectator_hat = (n % 2) << (n - 1)
+    masks = (m | spectator_hat * rng.getrandbits(1) for m in plan_boundary_masks(plan, rng))
+    assert_bulk_matches_per_player(strategy, masks)
+
+
+def test_partial_bulk_matches_per_player_at_fixed_thresholds():
+    params = block_params(12, 2, 7)
+    strategy = partial_profile(params, 24)
+    masks = threshold_boundary_masks(
+        24, (sorted(params.members),), lambda o, i: (2, 7), 1, random.Random(24)
+    )
+    assert_bulk_matches_per_player(strategy, masks)
+
+
+@pytest.mark.parametrize("blue_max, red_min", [(1, 3), (2, 3), (3, 3), (4, 2), (-1, 0)])
+def test_bulk_matches_per_player_for_any_fixed_thresholds(blue_max, red_min):
+    # BlockThresholdRule itself does not require blue_max + 2 <= red_min;
+    # closer thresholds reach the bulk path's split cases
+    rule = BlockThresholdRule(canonical_pairing(8), (range(1, 7),), ((blue_max, red_min),))
+    strategy = StrategyProfile(8, rule, "partial")
+    assert_bulk_matches_per_player(strategy, range(1 << 8))
 
 
 def test_offset_block_bulk_matches_per_player():
