@@ -5,15 +5,23 @@ score a strategy on each, and reduce to a worst-case report: the minimum
 correct count, the worst shortfall below max{r, b} with a witness, a
 histogram, and the exact total over all distributions.
 
-An exhaustive sweep of a rule that declares its ``parts`` (see
-``strategies``) meets in the middle, in one process: it splits the
-players into a low and a high half along part boundaries, tabulates each
-half once per counted red count of the other half, and joins the two
-tables by multiplicity.  The bit sweep, one bulk call per distribution,
-serves every other rule and is the reference the tests compare the
-factored sweep against.  The bit sweep and the sampler split their work
-into chunks that merge associatively, so spreading them across worker
-processes cannot change the result.
+An exhaustive sweep of a rule that declares its ``parts`` (the contract
+is on ``StrategyProfile``) runs over orbits, in one process.  Inside a
+part the guesses depend only on how many of its cells are of each type and
+on what the part reads of the counted red total, so the sweep calls the
+real bulk rule once per part, composition of cell types and read value.
+It then combines the parts: a min-plus DP over red counts gives the worst
+loss and its witness, and products of polynomials with multinomial
+weights give the exact histogram.  Every run checks the declaration on
+seeded masks, re-scores the witness through the bulk rule and per player,
+and requires the histogram to hold 2^n distributions and n * 2^(n-1)
+correct guesses.  The bit sweep, one bulk call per distribution, serves
+every other rule and is the reference the tests compare the orbit sweep
+against.  A sweep whose estimated cost (bulk calls plus histogram bytes)
+exceeds a fixed budget raises ``CapacityError``.  The bit sweep and the
+sampler split their work into chunks that merge associatively, so
+spreading them across worker processes cannot change the result; the
+process pool is imported only when one starts.
 
 Alongside the sweeps sit the exact combinatorial checks: the averaging
 identity (every no-peek strategy totals n * 2^(n-1) correct guesses over
@@ -29,27 +37,32 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from multiprocessing import get_context
 from typing import Iterable, NamedTuple
 
 from .core import (
     CapacityError,
     ContractError,
     HatDistribution,
+    Part,
     StrategyProfile,
     evaluate,
     full_mask,
 )
 
-EXHAUSTIVE_MAX_N = 24
 EXACT_TOTAL_MAX_N = 14
 SEARCH_MAX_N = 3
+
+# An exhaustive sweep may cost this many units: one unit is a bulk call or a
+# byte of the orbit sweep's packed histogram state.  The bit sweep reaches it
+# between n = 24 and n = 25.
+_SWEEP_BUDGET = 3 << 23
+_CELL_CHECKS = 32  # seeded masks on which every orbit sweep tests the parts promise
+_INF = 1 << 62  # no distribution reaches this state
 
 _SAMPLE_CHUNK = 1024  # fixed so reports do not depend on the worker count
 
@@ -155,111 +168,494 @@ def _sweep_chunk(payload: tuple[StrategyProfile, int, int, int]) -> _Partial:
     return _reduce(strategy, n, map(full_mask(n).__xor__, range(lo, hi)))
 
 
-def _lowest_bits(mask: int, k: int) -> int:
-    """The k lowest set bits of ``mask``."""
-    out = 0
-    for _ in range(k):
-        bit = mask & -mask
-        out |= bit
-        mask ^= bit
-    return out
-
-
-def _split_point(n: int, part_masks: tuple[int, ...]) -> int:
-    """The boundary m nearest n/2 (ties go low) with every part inside
-    players 1..m or inside m+1..n; m = 0 always qualifies."""
-    cuts = (
-        m for m in range(n + 1)
-        if all(p >> m == 0 or p & ((1 << m) - 1) == 0 for p in part_masks)
-    )
-    return min(cuts, key=lambda m: abs(2 * m - n))
-
-
-def _check_parts(strategy: StrategyProfile, n: int) -> tuple[int, int]:
-    """Validate the rule's ``parts`` against the players; return (counted mask, m)."""
-    counted, part_masks = strategy.guess_rule.parts  # type: ignore[attr-defined]
+def _check_parts(strategy: StrategyProfile, n: int) -> tuple[int, tuple[Part, ...]]:
+    """Validate the rule's ``parts`` against the players: the cells partition
+    1..n, a part's cells are all pairs or all single players, each part lies
+    wholly inside or wholly outside the counted mask, and at most one part
+    reads the counted total exactly.  Returns (counted mask, parts)."""
+    counted, parts = strategy.guess_rule.parts  # type: ignore[attr-defined]
     full = full_mask(n)
-    union = 0
-    for p in part_masks:
-        if p & union or not p or p & ~full:
-            raise ContractError(f"{strategy.name}: parts overlap, are empty or exceed n={n}")
-        union |= p
+    union = exact = 0
+    for part in parts:
+        if part.modulus < 0 or {len(cell) for cell in part.cells} not in ({1}, {2}):
+            raise ContractError(
+                f"{strategy.name}: a part needs a modulus >= 0 and cells that are "
+                f"all pairs or all single players"
+            )
+        mask = 0
+        for p in (p for cell in part.cells for p in cell):
+            if not 1 <= p <= n or (1 << (p - 1)) & (mask | union):
+                raise ContractError(f"{strategy.name}: parts overlap or exceed n={n}")
+            mask |= 1 << (p - 1)
+        if mask & counted not in (0, mask):
+            raise ContractError(f"{strategy.name}: a part lies partly inside the counted players")
+        union |= mask
+        exact += part.modulus == 0
     if union != full or counted & ~full:
         raise ContractError(f"{strategy.name}: parts must cover exactly the players 1..{n}")
-    return counted, _split_point(n, part_masks)
+    if exact > 1:
+        raise ContractError(f"{strategy.name}: at most one part may read the counted total exactly")
+    return counted, parts
 
 
-def _half_table(bulk, half_mask: int, shift: int, counted_self: int, counted_other: int):
-    """Score every pattern of one half (index i puts ``i << shift`` blue) once
-    per counted red count of the other half, through the real bulk rule on
-    a representative mask.
-
-    Returns table[k_other][k_self] = (histogram of correct guesses inside
-    the half, {red count in the half: (fewest correct, earliest index)}):
-    only the fewest correct guesses matter to the worst loss, and the
-    earliest pattern reaching them to the witness.
-    """
-    size = half_mask.bit_count()
-    table = []
-    for k_other in range(counted_other.bit_count() + 1):
-        rest = _lowest_bits(counted_other, k_other)
-        hists = [[0] * (size + 1) for _ in range(counted_self.bit_count() + 1)]
-        fewest: list[dict[int, tuple[int, int]]] = [{} for _ in hists]
-        for index in range(1 << size):
-            red = half_mask ^ (index << shift)
-            both = red | rest
-            cor = (~(bulk(both) ^ both) & half_mask).bit_count()
-            k_self = (red & counted_self).bit_count()
-            hists[k_self][cor] += 1
-            r_self = red.bit_count()
-            seen = fewest[k_self].get(r_self)
-            if seen is None or cor < seen[0]:
-                fewest[k_self][r_self] = (cor, index)
-        table.append(list(zip(hists, fewest)))
-    return table
+def _orbit_cost(n: int, counted: int, parts: tuple[Part, ...]) -> int:
+    """Bulk calls of the orbit sweep (compositions times read values, per
+    part) plus the bytes of its packed histogram state."""
+    calls = 0
+    keys = math.lcm(*(part.modulus for part in parts if part.modulus))
+    for part in parts:
+        kinds = 1 << len(part.cells[0])
+        outside = (counted & ~part.mask).bit_count()
+        calls += math.comb(len(part.cells) + kinds - 1, kinds - 1) * (part.modulus or outside + 1)
+        if part.modulus == 0:
+            keys = outside + 1  # the histogram then tracks R exactly
+    return calls + keys * (n + 1) ** 2 // 8
 
 
-def _factored_sweep(strategy: StrategyProfile, n: int) -> _Partial:
-    """The exhaustive sweep of a rule with ``parts``: join the two half tables
-    at m = _split_point for every (k_high, k_low).  The index of a
-    distribution is ``high << m | low``, as in the bit sweep, so keeping the
-    smallest index among ties keeps the bit sweep's witness."""
-    counted, m = _check_parts(strategy, n)
+def _compositions(cells: int, kinds: int):
+    """Every tuple of ``kinds`` (2 or 4) counts that sum to ``cells``, with
+    its weight: the multinomial cells! / prod(count!), which counts the
+    arrangements of the cells it describes."""
+    if kinds == 2:
+        weight = 1
+        for a in range(cells, -1, -1):
+            yield (a, cells - a), weight
+            weight = weight * a // (cells - a + 1)
+        return
+    first = 1  # C(cells, a)
+    for a in range(cells, -1, -1):
+        rest = cells - a
+        second = first  # times C(rest, b)
+        for b in range(rest, -1, -1):
+            weight = second  # times C(rest - b, c)
+            for c in range(rest - b, -1, -1):
+                yield (a, b, c, rest - b - c), weight
+                weight = weight * c // (rest - b - c + 1)
+            second = second * b // (rest - b + 1)
+        first = first * a // (cells - a + 1)
+
+
+def _kind_reds(cell: tuple[int, ...], kind: int) -> int:
+    """The red hats of ``cell`` when it has type ``kind`` (bit set = blue,
+    the first player of the cell in the highest bit)."""
+    last = len(cell) - 1
+    return sum(1 << (p - 1) for i, p in enumerate(cell) if not kind >> (last - i) & 1)
+
+
+class _PartTable(NamedTuple):
+    """One part scored through the bulk rule, once per composition of its
+    cell types and per value v of the counted total R it reads: v = R mod k
+    for a part with modulus k >= 1, and the number of red counted players
+    outside the part for the exact reader.  Compositions are indexed in
+    ``_compositions`` order; _UNREACHABLE marks a pair (v, composition) that
+    no distribution has."""
+
+    part: Part
+    mask: int
+    counted: bool
+    reds: array  # red hats per composition
+    cor: list[array]  # cor[v][i]: correct guesses inside the part
+    best: list[list[int]]  # best[v][c]: the fewest correct guesses with c red hats
+    weights: list[dict[tuple[int, int], int]]  # weights[v][(c, correct)]: arrangements
+    tops: list[tuple[tuple[int, int], ...]]  # cells from the top: (type, red mask), earliest first
+
+    def read(self, rho: int) -> int:
+        """v for the residue rho of R mod K (a part that does not read R exactly)."""
+        return rho % self.part.modulus
+
+    def comps(self):
+        """The (composition, weight) pairs, in the order of ``reds`` and ``cor``."""
+        return _compositions(len(self.part.cells), 1 << len(self.part.cells[0]))
+
+
+_UNREACHABLE = 0xFFFF
+
+
+def _part_table(bulk, counted_mask: int, part: Part) -> _PartTable:
+    """Call the bulk rule once per composition and read value on a
+    representative mask: the part's cells take their types in order, and the
+    lowest counted players outside the part are red as often as v needs."""
+    cells = part.cells
+    arity = len(cells[0])
+    kinds = 1 << arity
+    roles = [[0] for _ in range(arity)]
+    for cell in cells:
+        for role, p in zip(roles, cell):
+            role.append(role[-1] | 1 << (p - 1))
+    mask = part.mask
+    counted = bool(mask & counted_mask)
+    rest = counted_mask & ~mask
+    outs = [0]
+    needed = rest.bit_count() if part.modulus == 0 else min(part.modulus - 1, rest.bit_count())
+    for _ in range(needed):
+        bit = rest & -rest
+        outs.append(outs[-1] | bit)
+        rest ^= bit
+    reads = part.modulus or len(outs)
+    total = math.comb(len(cells) + kinds - 1, kinds - 1)
+    cor = [array("H", [_UNREACHABLE]) * total for _ in range(reads)]
+    best = [[_INF] * (mask.bit_count() + 1) for _ in range(reads)]
+    weights: list[dict[tuple[int, int], int]] = [{} for _ in range(reads)]
+    reds = array("H")
+    for i, (comp, weight) in enumerate(_compositions(len(cells), kinds)):
+        red = start = 0
+        for kind, count in enumerate(comp):
+            if count:
+                end = start + count
+                for role in range(arity):
+                    if not kind >> (arity - 1 - role) & 1:
+                        red |= roles[role][end] ^ roles[role][start]
+                start = end
+        c = red.bit_count()
+        reds.append(c)
+        own = c if counted else 0
+        for v in range(reads):
+            t = (v - own) % part.modulus if part.modulus else v
+            if t < len(outs):
+                both = red | outs[t]
+                k = cor[v][i] = (~(bulk(both) ^ both) & mask).bit_count()
+                if k < best[v][c]:
+                    best[v][c] = k
+                w = weights[v]
+                w[c, k] = w.get((c, k), 0) + weight
+    tops = [
+        tuple(sorted(((k, _kind_reds(cell, k)) for k in range(kinds)), key=lambda e: -e[1]))
+        for cell in sorted(cells, key=max, reverse=True)
+    ]
+    return _PartTable(part, mask, counted, reds, cor, best, weights, tops)
+
+
+def _check_cells(strategy: StrategyProfile, n: int, counted: int, parts: tuple[Part, ...]) -> None:
+    """The parts promise, tried on ``_CELL_CHECKS`` seeded masks: move the
+    cells of one part by a random permutation and redraw every hat outside it
+    that the part cannot read (the counted ones keep their count, or its
+    residue mod k, or nothing, as the part's modulus says).  The part's
+    guesses must move with its cells."""
+    rng = random.Random(n)
+    bulk = strategy.bulk
     full = full_mask(n)
-    low = (1 << m) - 1
-    high = full ^ low
-    lows = _half_table(strategy.bulk, low, 0, counted & low, counted & high)
-    highs = _half_table(strategy.bulk, high, m, counted & high, counted & low)
+    layouts = []
+    for part in parts[:_CELL_CHECKS]:
+        inside = part.mask
+        layouts.append((part, inside, [p for p in range(n) if (counted & ~inside) >> p & 1]))
+    for i in range(_CELL_CHECKS):
+        part, inside, others = layouts[i % len(layouts)]
+        order = list(part.cells)
+        rng.shuffle(order)
+        mask = rng.getrandbits(n)
+        for _ in range(i % 3):  # vary the density of red hats
+            mask = mask & rng.getrandbits(n) if i & 1 else mask | rng.getrandbits(n)
+        reds = (mask & counted & ~inside).bit_count()
+        if part.modulus:
+            reds = rng.choice(range(reds % part.modulus, len(others) + 1, part.modulus))
+        outside = rng.getrandbits(n) & full & ~counted & ~inside
+        outside |= sum(1 << p for p in rng.sample(others, reds))
+
+        def move(bits: int) -> int:
+            out = 0
+            for src, dst in zip(part.cells, order):
+                for p, q in zip(src, dst):
+                    out |= (bits >> (p - 1) & 1) << (q - 1)
+            return out
+
+        if move(bulk(mask)) != bulk(move(mask) | outside) & inside:
+            raise ContractError(
+                f"{strategy.name}: moving the cells of the part {part.cells} moved its "
+                f"guesses differently; the rule's parts declaration does not hold"
+            )
+
+
+def _min_plus(old: list[int], best: list[int], step: int) -> list[int]:
+    """new[s + c * step] = min over c of old[s] + best[c]."""
+    size = len(old)
+    new = [_INF] * size
+    for c, b in enumerate(best):
+        off = c * step
+        if b < _INF and off < size:
+            new[off:] = map(min, new[off:], [v + b for v in old[: size - off]])
+    return new
+
+
+def _earliest_arrangement(
+    table: _PartTable, comps: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], int]:
+    """The arrangement with the smallest sweep index among all arrangements of
+    the compositions ``comps``: from the top cell down, each cell takes the
+    type that keeps the most red hats highest (RR, BR, RB, BB for a pair with
+    x < y; R, B for a single player) among those some composition still
+    allows.  Returns (composition, red mask)."""
+    used = [0] * len(comps[0])
+    red = 0
+    for choices in table.tops:
+        for kind, bits in choices:
+            keep = [comp for comp in comps if comp[kind] > used[kind]]
+            if keep:
+                break
+        comps = keep
+        used[kind] += 1
+        red |= bits
+    return tuple(used), red
+
+
+def _orbit_sweep(
+    strategy: StrategyProfile, n: int, counted: int, parts: tuple[Part, ...]
+) -> _Partial:
+    """The exhaustive sweep of a rule with ``parts``, over orbits.
+
+    Each part is scored once per composition and read value (``_part_table``).
+    The parts other than the exact reader are combined once per residue rho of
+    the counted total R mod K, K the lcm of their moduli:
+
+    * worst loss: a min-plus DP over (counted, uncounted) red counts, kept
+      suffix by suffix for the witness;
+    * histogram: polynomials in x (R mod K, or R itself when a part reads it
+      exactly) whose coefficients are polynomials in y (correct guesses)
+      packed into one int each, weighted by multinomial arrangement counts.
+
+    The exact reader, when there is one, joins last, where R is known.  The
+    witness is the bit sweep's: the smallest index among the worst cases,
+    built top-down part by part (parts by their highest player), each part
+    taking the earliest arrangement that can still reach the worst loss.
+    It is re-scored through the bulk rule and per player, and the histogram
+    must hold 2^n distributions and n * 2^(n-1) correct guesses.
+    """
+    _check_cells(strategy, n, counted, parts)
+    bulk = strategy.bulk
+    tables = [_part_table(bulk, counted, part) for part in parts]
+    exact = next((t for t in tables if t.part.modulus == 0), None)
+    others = sorted((t for t in tables if t is not exact), key=lambda t: t.mask, reverse=True)
+    big_k = math.lcm(*(t.part.modulus for t in others))
+    step = 1 + sum(t.mask.bit_count() for t in others if not t.counted)
+    states = (1 + sum(t.mask.bit_count() for t in others if t.counted)) * step
+    keys = big_k if exact is None else states // step
+    size = n // 8 + 1  # bytes per packed coefficient: every count is at most 2^n
+    width = 8 * size
     hist = [0] * (n + 1)
-    worst_loss, witness = -1, 0
-    for k_high, row in enumerate(lows):
-        for k_low, (low_hist, low_fewest) in enumerate(row):
-            high_hist, high_fewest = highs[k_low][k_high]
-            for cor_high, count in enumerate(high_hist):
-                if count:
-                    for cor_low, mult in enumerate(low_hist):
-                        hist[cor_high + cor_low] += count * mult
-            for r_high, (cor_high, first_high) in high_fewest.items():
-                for r_low, (cor_low, first_low) in low_fewest.items():
-                    r = r_high + r_low
-                    loss = max(r, n - r) - cor_high - cor_low
-                    index = first_high << m | first_low
-                    if loss > worst_loss or (loss == worst_loss and index < witness):
-                        worst_loss, witness = loss, index
-    return _finish(hist, worst_loss, full ^ witness)
-
-
-def _check_witness(strategy: StrategyProfile, n: int, part: _Partial) -> None:
-    """Re-score the factored sweep's witness through the bulk rule on the full mask."""
-    red = part.witness_red_mask
+    chains = []
+    ends = []  # (loss, rho, R outside the exact reader, its composition)
+    for rho in range(big_k):
+        chain = [[0] + [_INF] * (states - 1)]
+        acc = [1] + [0] * (keys - 1)
+        for t in reversed(others):
+            v = t.read(rho)
+            chain.append(_min_plus(chain[-1], t.best[v], step if t.counted else 1))
+            terms = [
+                ((c if t.counted else 0) % keys, cor * width, weight)
+                for (c, cor), weight in t.weights[v].items()
+            ]
+            new = [0] * keys
+            for j, a in enumerate(acc):
+                if a:
+                    for dj, shift, weight in terms:
+                        new[(j + dj) % keys] += a * weight << shift
+            acc = new
+        chain.reverse()  # chain[j]: the fewest correct guesses of others[j:]
+        chains.append(chain)
+        for index, fewest in enumerate(chain[0]):
+            if fewest >= _INF:
+                continue
+            base, u = divmod(index, step)
+            if exact is None:
+                if base % big_k == rho:
+                    ends.append((max(base + u, n - base - u) - fewest, rho, None, None))
+                continue
+            for i, c in enumerate(exact.reds):
+                cor = exact.cor[base][i]
+                if cor != _UNREACHABLE and (base + (c if exact.counted else 0)) % big_k == rho:
+                    r = base + u + c
+                    ends.append((max(r, n - r) - fewest - cor, rho, base, i))
+        if exact is None:
+            _add_slots(hist, acc[rho], 0, size)
+            continue
+        by_cor: dict[int, int] = {}  # the exact reader's correct guesses: packed polynomial
+        for base, a in enumerate(acc):
+            for (c, cor), weight in exact.weights[base].items() if a else ():
+                if (base + (c if exact.counted else 0)) % big_k == rho:
+                    by_cor[cor] = by_cor.get(cor, 0) + a * weight
+        for cor, packed in by_cor.items():
+            _add_slots(hist, packed, cor, size)
+    worst = max(e[0] for e in ends)
+    full = full_mask(n)
+    find = _witness if _separated(parts) else _witness_by_player
+    red, cor = min(
+        (find(others, chains[rho], rho, big_k, step, n, worst, exact, base, i)
+         for rho, base, i in {e[1:] for e in ends if e[0] == worst}),
+        key=lambda found: full ^ found[0],  # the bit sweep's index of the distribution
+    )
     r = red.bit_count()
-    loss = max(r, n - r) - (~(strategy.bulk(red) ^ red) & full_mask(n)).bit_count()
-    if loss != part.worst_loss:
+    got = (~(bulk(red) ^ red) & full).bit_count()
+    per_player = evaluate(strategy, HatDistribution(n, red)).correct_count
+    if max(r, n - r) - cor != worst or got != cor or per_player != cor:
         raise ContractError(
-            f"{strategy.name}: the factored sweep found worst loss {part.worst_loss} "
-            f"at {HatDistribution(n, red).to_text()}, where the bulk rule loses {loss}; "
-            f"the rule's parts declaration does not hold"
+            f"{strategy.name}: the orbit sweep found worst loss {worst} at "
+            f"{HatDistribution(n, red).to_text()} with {cor} correct, where the bulk rule "
+            f"scores {got} and the per-player rule {per_player}; the rule's parts "
+            f"declaration does not hold"
         )
+    part = _finish(hist, worst, red)
+    if part.evaluated != 1 << n or part.total != n << (n - 1):
+        raise ContractError(
+            f"{strategy.name}: the orbit sweep counted {part.evaluated} distributions and "
+            f"{part.total} correct guesses, not 2^{n} and {n} * 2^{n - 1}; the rule's "
+            f"parts declaration does not hold"
+        )
+    return part
+
+
+def _add_slots(hist: list[int], packed: int, shift: int, size: int) -> None:
+    """Add the coefficients of ``packed``, ``size`` bytes each from the
+    lowest, to hist[shift], hist[shift + 1], ..."""
+    data = packed.to_bytes(-(-packed.bit_length() // 8), "little")
+    for at in range(0, len(data), size):
+        hist[shift + at // size] += int.from_bytes(data[at : at + size], "little")
+
+
+def _separated(parts: tuple[Part, ...]) -> bool:
+    """Whether no two parts, and no two cells of one part, interleave in the
+    player order, so that the earliest arrangement can be built part by part
+    and cell by cell."""
+
+    def disjoint(groups) -> bool:
+        spans = sorted((min(group), max(group)) for group in groups)
+        return all(high < low for (_, high), (low, _) in zip(spans, spans[1:]))
+
+    return disjoint([[p for cell in part.cells for p in cell] for part in parts]) and all(
+        disjoint(part.cells) for part in parts
+    )
+
+
+def _witness(others, chain, rho, big_k, step, n, worst, exact, base, i) -> tuple[int, int]:
+    """The earliest worst case whose counted total R has residue rho, with an
+    exact reader also the earliest whose other counted players hold ``base``
+    red hats and whose exact reader has composition i: (red mask, correct).
+    Parts and cells must not interleave (``_separated``)."""
+    if exact is None:
+        red = extra_reds = extra_cor = 0
+    else:
+        extra_reds, extra_cor = exact.reds[i], exact.cor[base][i]
+        red = _earliest_arrangement(exact, [list(exact.comps())[i][0]])[1]
+    counted_reds = uncounted_reds = cor = 0
+    for j, t in enumerate(others):
+        after = chain[j + 1]
+        rows = len(after) // step
+        allow = []  # the most correct guesses the part may have with c red hats
+        for c in range(t.mask.bit_count() + 1):
+            own = c if t.counted else 0
+            if exact is None:
+                rests = range((rho - counted_reds - own) % big_k, rows, big_k)
+            else:
+                rest = base - counted_reds - own
+                rests = range(rest, min(rest + 1, rows)) if rest >= 0 else ()
+            most = -_INF
+            for rest in rests:
+                for u in range(step):
+                    if after[rest * step + u] < _INF:
+                        r = counted_reds + uncounted_reds + rest + u + c + extra_reds
+                        most = max(most, max(r, n - r) - after[rest * step + u])
+            allow.append(most - cor - extra_cor - worst)
+        v = t.read(rho)
+        fits = {
+            comp: (c, k) for (comp, _), c, k in zip(t.comps(), t.reds, t.cor[v]) if k <= allow[c]
+        }
+        comp, part_red = _earliest_arrangement(t, list(fits))
+        c, k = fits[comp]
+        if t.counted:
+            counted_reds += c
+        else:
+            uncounted_reds += c
+        cor += k
+        red |= part_red
+    return red, cor + extra_cor
+
+
+def _witness_by_player(
+    others, chain, rho, big_k, step, n, worst, exact, base, i
+) -> tuple[int, int]:
+    """``_witness`` for layouts whose parts or cells interleave.  The players
+    are fixed from the top, each red if some worst case still extends the hats
+    fixed so far.  A composition of a part fits its fixed hats when Hall's
+    condition holds for every set of cell types; the parts not yet touched are
+    ``others[touched:]``, whose fewest correct guesses ``chain`` already holds."""
+    tables = others + ([exact] if exact else [])
+    part_of = {p: j for j, t in enumerate(tables) for cell in t.part.cells for p in cell}
+    fixed: dict[int, bool] = {}  # player -> wears red
+
+    def fitting(j: int, options: list) -> list[tuple[tuple[int, ...], int, int]]:
+        """The (composition, red hats, correct) in ``options`` that fit the fixed hats of part j."""
+        cells = tables[j].part.cells
+        arity = len(cells[0])
+        kinds = 1 << arity
+        within = [0] * (1 << kinds)  # within[T]: cells whose possible types all lie in T
+        for cell in cells:
+            can = sum(
+                1 << kind
+                for kind in range(kinds)
+                if all(
+                    fixed.get(p, red) == red
+                    for role, p in enumerate(cell)
+                    for red in [not kind >> (arity - 1 - role) & 1]
+                )
+            )
+            for types in range(1 << kinds):
+                within[types] += can & ~types == 0
+        return [
+            (comp, c, cor)
+            for comp, c, cor in options
+            if all(
+                within[types] <= sum(count for kind, count in enumerate(comp) if types >> kind & 1)
+                for types in range(1 << kinds)
+            )
+        ]
+
+    def extends(fits: list, touched: int) -> bool:
+        fewest_of = chain[touched]
+        reds = [0, 0]  # counted, uncounted red hats of the parts down to one option
+        extra_reds = extra_cor = 0
+        for t, options in zip(others[:touched], fits):
+            if len(options) == 1:
+                reds[not t.counted] += options[0][1]
+                extra_cor += options[0][2]
+                continue
+            best = [_INF] * (t.mask.bit_count() + 1)
+            for _, c, cor in options:
+                best[c] = min(best[c], cor)
+            fewest_of = _min_plus(fewest_of, best, step if t.counted else 1)
+        if exact is not None:
+            if not fits[-1]:
+                return False
+            extra_reds = fits[-1][0][1]
+            extra_cor += fits[-1][0][2]
+        for index, fewest in enumerate(fewest_of):
+            rest, u = divmod(index, step)
+            rest += reds[0]
+            if fewest < _INF and (rest == base if exact is not None else rest % big_k == rho):
+                r = rest + u + reds[1] + extra_reds
+                if max(r, n - r) - fewest - extra_cor >= worst:
+                    return True
+        return False
+
+    fits = []
+    for j, t in enumerate(tables):
+        cors = t.cor[base if t is exact else t.read(rho)]
+        options = [
+            (comp, c, cor)
+            for at, ((comp, _), c, cor) in enumerate(zip(t.comps(), t.reds, cors))
+            if cor != _UNREACHABLE and (t is not exact or at == i)
+        ]
+        fits.append(fitting(j, options))
+    touched = 0
+    for p in range(n, 0, -1):
+        j = part_of[p]
+        while touched < len(others) and others[touched].mask >> (p - 1):
+            touched += 1  # others are sorted by their highest player
+        before = fits[j]
+        fixed[p] = True
+        fits[j] = fitting(j, before)
+        if not extends(fits, touched):
+            fixed[p] = False
+            fits[j] = fitting(j, before)
+    red = sum(1 << (p - 1) for p, wears_red in fixed.items() if wears_red)
+    return red, sum(options[0][2] for options in fits)
 
 
 def _ranges(count: int, workers: int) -> list[tuple[int, int]]:
@@ -281,6 +677,8 @@ def _pool_size(workers: int, chunks: int) -> int:
 def _mp_context():
     """Fork where the platform has it, so workers inherit the loaded modules;
     spawn elsewhere."""
+    from multiprocessing import get_context
+
     try:
         return get_context("fork")
     except ValueError:
@@ -291,6 +689,9 @@ def _run_chunks(payloads: list[tuple], worker, workers: int) -> _Partial:
     pool_size = _pool_size(workers, len(payloads))
     if pool_size == 1:
         return reduce(_merge_partials, map(worker, payloads))
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         pickle.dumps(payloads[0][0])
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
@@ -305,18 +706,30 @@ def _run_chunks(payloads: list[tuple], worker, workers: int) -> _Partial:
 def exhaustive_worst_case(
     strategy: StrategyProfile, n: int, workers: int = 1
 ) -> WorstCaseReport:
-    """Evaluate ``strategy`` on every one of the 2^n distributions."""
+    """Evaluate ``strategy`` on every one of the 2^n distributions.
+
+    A rule that declares ``parts`` is swept over orbits, in one process;
+    any other rule by the bit sweep, one bulk call per distribution.  Either
+    way a sweep whose estimated cost exceeds the budget raises
+    ``CapacityError``.
+    """
     if strategy.n != n:
         raise ContractError(f"strategy is for n={strategy.n}, asked to sweep n={n}")
-    if n > EXHAUSTIVE_MAX_N:
-        raise CapacityError(
-            f"2^{n} distributions exceed the exhaustive range "
-            f"(n <= {EXHAUSTIVE_MAX_N}); use monte_carlo for sampled checks"
-        )
     _check_workers(workers)
-    if strategy.bulk is not None and getattr(strategy.guess_rule, "parts", None) is not None:
-        part = _factored_sweep(strategy, n)
-        _check_witness(strategy, n, part)
+    orbits = strategy.bulk is not None and getattr(strategy.guess_rule, "parts", None) is not None
+    if orbits:
+        counted, parts = _check_parts(strategy, n)
+        cost = _orbit_cost(n, counted, parts)
+    else:
+        cost = (1 << n) + (n + 1) ** 2 // 8
+    if cost > _SWEEP_BUDGET:
+        raise CapacityError(
+            f"an exhaustive sweep of {strategy.name} at n={n} would cost about {cost:.3g} "
+            f"units (bulk calls and histogram bytes), over the budget of {_SWEEP_BUDGET}; "
+            f"use monte_carlo for sampled checks"
+        )
+    if orbits:
+        part = _orbit_sweep(strategy, n, counted, parts)
     else:
         payloads = [(strategy, n, lo, hi) for lo, hi in _ranges(1 << n, workers)]
         part = _run_chunks(payloads, _sweep_chunk, workers)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class HatGameError(ValueError):
@@ -190,6 +190,25 @@ class VisibleView:
 GuessRule = Callable[[int, VisibleView], Color]
 
 
+class Part(NamedTuple):
+    """One part of a rule's players, as the exhaustive sweep reads it.
+
+    ``cells`` are ordered pairs ``(x, y)`` or single players ``(p,)``, all of
+    one kind within a part.  A pair cell has four types, named by the hats of
+    x and y: RR, RB, BR, BB; a single cell has two, R and B.  ``modulus``
+    says how the part reads the counted red total R: 1 not at all, k >= 2
+    as R mod k, 0 exactly (R mod 0 = R).
+    """
+
+    cells: tuple[tuple[int, ...], ...]
+    modulus: int
+
+    @property
+    def mask(self) -> int:
+        """The part's players as a bit mask."""
+        return mask_of(p for cell in self.cells for p in cell)
+
+
 @dataclass(frozen=True)
 class StrategyProfile:
     """A deterministic per-player guess rule for an n-player game.
@@ -198,12 +217,19 @@ class StrategyProfile:
     object may additionally expose ``bulk_guesses(red_mask) -> guess_mask``
     as a whole-profile fast path for sweeps; bit i-1 of the result means
     player i guesses red.  The fast path must agree with the per-player
-    rule everywhere (this is tested, not assumed).  A rule with a fast path
-    may also declare ``parts = (counted_mask, part_masks)``: part masks that
-    partition the players, such that the guess bits inside each part depend
-    only on the hats in that part and on ``popcount(red_mask & counted_mask)``.
-    Exhaustive sweeps of such a rule score each half of the players once per
-    counted red count instead of every distribution.
+    rule everywhere (this is tested, not assumed).
+
+    A rule with a fast path may also declare
+    ``parts = (counted_mask, (Part, ...))``.  The parts' cells partition the
+    players, each part lies wholly inside or wholly outside
+    ``counted_mask``, and at most one part reads the counted total exactly.
+    The promise: the guesses inside a part depend only on how many of its
+    cells are of each type and on what its ``modulus`` lets it read of
+    ``R = popcount(red_mask & counted_mask)``.  Moving the hats of one cell
+    onto another cell of the same part moves that cell's guesses with them.
+    The exhaustive sweep of such a rule scores each part once per
+    composition of cell types and per value it reads, instead of every
+    distribution, and checks the promise on every run.
     """
 
     n: int

@@ -20,8 +20,9 @@ Rule objects are immutable after construction, pure, and picklable, so
 sweeps can fan them out across worker processes.  Each built-in rule also
 implements ``bulk_guesses(red_mask) -> guess_mask``, a whole-profile bit
 fast path used by the exhaustive and sampled sweeps, and declares its
-structure in ``parts`` (the contract is on ``StrategyProfile``), which
-lets the exhaustive sweep factor.
+cells and what each part reads in ``parts`` (the contract is on
+``StrategyProfile``), which lets the exhaustive sweep score each part once
+per composition of cell types instead of every distribution.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     ContractError,
     GuessRule,
     HatDistribution,
+    Part,
     StrategyProfile,
     VisibleView,
     full_mask,
@@ -149,9 +151,9 @@ class PairingRule:
         return seen if self.pairing.is_first(observer) else seen.opposite()
 
     @property
-    def parts(self) -> tuple[int, tuple[int, ...]]:
-        """Each pair reads only its own two hats."""
-        return 0, tuple(1 << (x - 1) | 1 << (y - 1) for x, y in self.pairing.pairs)
+    def parts(self) -> tuple[int, tuple[Part, ...]]:
+        """Each pair is a part of one cell and reads no count."""
+        return 0, tuple(Part((pair,), 1) for pair in self.pairing.pairs)
 
     def bulk_guesses(self, red_mask: int) -> int:
         if self._x_mask is not None:
@@ -192,9 +194,9 @@ class MajorityRule:
         return self._decide(reds, self.n - 1 - reds)
 
     @property
-    def parts(self) -> tuple[int, tuple[int, ...]]:
-        """Each player reads only their own hat and the total red count."""
-        return self._full, tuple(1 << i for i in range(self.n))
+    def parts(self) -> tuple[int, tuple[Part, ...]]:
+        """One part of n single players, reading the red total exactly."""
+        return self._full, (Part(tuple((p,) for p in range(1, self.n + 1)), 0),)
 
     def bulk_guesses(self, red_mask: int) -> int:
         r = (red_mask & self._full).bit_count()
@@ -311,17 +313,24 @@ class BlockThresholdRule:
         return self._pairing_rule(observer, view)
 
     @property
-    def parts(self) -> tuple[int, tuple[int, ...]] | None:
-        """The blocks and the unblocked pairs; a plan's thresholds read the
-        covered red count, fixed thresholds read nothing outside the block."""
+    def parts(self) -> tuple[int, tuple[Part, ...]] | None:
+        """Each block is a part of its pairs, each unblocked pair a part of
+        its own.  A plan's block reads the covered red count mod k (its
+        outside count is that minus its own), a fixed block reads nothing."""
         block_of = self._block_of.get
-        if any(block_of(x) != block_of(y) for x, y in self._pairing_rule.pairing.pairs):
-            return None  # a pair across two blocks ties their guesses together
+        cells: list[list[tuple[int, int]]] = [[] for _ in self._blocks]
+        loose = []
+        for x, y in self._pairing_rule.pairing.pairs:
+            i = block_of(x)
+            if i != block_of(y):
+                return None  # a pair across two blocks ties their guesses together
+            if i is None:
+                loose.append(Part(((x, y),), 1))
+            else:
+                cells[i].append((x, y))
         counted = self._covered if self.plan is not None else 0
-        pairs = self._pairing_rule.parts[1]
-        return counted, tuple(mask for mask, _ in self._blocks) + tuple(
-            pair for pair in pairs if pair & self._unblocked
-        )
+        blocks = tuple(Part(tuple(c), len(table)) for c, (_, table) in zip(cells, self._blocks))
+        return counted, blocks + tuple(loose)
 
     def bulk_guesses(self, red_mask: int) -> int:
         pairing_g = self._pairing_rule.bulk_guesses(red_mask)
@@ -540,13 +549,14 @@ class SpectatorCompositeRule:
         return self.inner(observer, view)
 
     @property
-    def parts(self) -> tuple[int, tuple[int, ...]] | None:
-        """The inner parts plus the spectator, who reads every inner hat."""
+    def parts(self) -> tuple[int, tuple[Part, ...]] | None:
+        """The inner parts plus the spectator, who reads the inner red count
+        exactly."""
         inner = getattr(self.inner, "parts", None)
         if inner is None:
             return None
-        counted, masks = inner
-        return counted | self._inner_full, masks + (1 << (self.n - 1),)
+        counted, parts = inner
+        return counted | self._inner_full, parts + (Part(((self.n,),), 0),)
 
     def bulk_guesses(self, red_mask: int) -> int:
         inner_bulk = self.inner.bulk_guesses  # type: ignore[attr-defined]

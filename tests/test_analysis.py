@@ -59,8 +59,9 @@ def test_sweep_composite_n10():
 
 
 def test_sweep_capacity_error_points_at_sampling():
+    always_red = StrategyProfile(25, lambda observer, view: Color.RED, "always-red")
     with pytest.raises(CapacityError, match="monte_carlo"):
-        exhaustive_worst_case(composite_strategy(25), 25)
+        exhaustive_worst_case(always_red, 25)  # no parts: the bit sweep, 2^25 bulk calls
 
 
 def test_sweep_dimension_mismatch():

@@ -1,7 +1,7 @@
 """The composite's block-threshold rule on hand-built plans with k >= 3 blocks.
 
-Default plans first use k = 3 at n = 34, beyond the exhaustive range, so
-these plans are the exhaustive check of the modular threshold offset.
+Default plans first use k = 3 at n = 34; these smaller hand-built plans
+check the modular threshold offset per player and against the bit path.
 """
 
 import random
@@ -74,7 +74,7 @@ def test_exhaustive_worst_loss_within_structural_bound(plan_composite, n, k):
 
 
 # (n, k) -> (exact worst loss, structural bound); equal-sized blocks, certified
-# by the factored exhaustive sweep
+# by the orbit sweep
 FACTORED_PINNED = {(20, 5): (9, 18), (24, 4): (9, 12), (24, 6): (11, 27)}
 
 

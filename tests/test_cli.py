@@ -120,7 +120,7 @@ def test_sweep_csv_histogram_rows():
 
 
 def test_sweep_capacity_error():
-    code, _, err = invoke("sweep", "--strategy", "composite", "--n", "26")
+    code, _, err = invoke("sweep", "--strategy", "composite", "--n", "4096")
     assert code == 2
     assert "monte_carlo" in err
 

@@ -1,25 +1,33 @@
-"""The factored exhaustive sweep against the bit sweep, its reference.
+"""The orbit-compressed exhaustive sweep against the bit sweep, its reference.
 
-Rules that declare ``parts`` are swept by scoring a low and a high half of
-the players once per counted red count of the other half.  Every report
-here must equal, field for field, the bit sweep's (``_sweep_chunk`` over
-all 2^n distributions): min, worst loss, earliest witness, histogram,
-total and count.
+Rules that declare ``parts`` are swept by scoring each part once per
+composition of its cell types and per value of the counted total it reads.
+Every report here must equal, field for field, the bit sweep's
+(``_sweep_chunk`` over all 2^n distributions): min, worst loss, earliest
+witness, histogram, total and count.
 """
+
+import concurrent.futures
+import random
 
 import pytest
 
 from hatguess import (
     Color,
     ContractError,
+    HatDistribution,
     Pairing,
+    Part,
     PartialStrategyParams,
     PartitionPlan,
     StrategyProfile,
     canonical_pairing,
     composite_strategy,
+    evaluate,
     exhaustive_worst_case,
+    guarantee_bound,
     majority_strategy,
+    make_partition,
     pairing_strategy,
     partial_profile,
 )
@@ -28,10 +36,10 @@ from hatguess.analysis import _Partial, _sweep_chunk
 
 
 def refuse_bit_sweep(payload):
-    raise AssertionError("the bit sweep ran where the factored sweep should")
+    raise AssertionError("the bit sweep ran where the orbit sweep should")
 
 
-def assert_factored_exact(monkeypatch, strategy, n, workers=1):
+def assert_orbit_exact(monkeypatch, strategy, n, workers=1):
     want = _sweep_chunk((strategy, n, 0, 1 << n))
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_sweep_chunk", refuse_bit_sweep)
@@ -50,18 +58,18 @@ def assert_factored_exact(monkeypatch, strategy, n, workers=1):
 
 @pytest.mark.parametrize("n", range(2, 17, 2))
 def test_pairing(monkeypatch, n):
-    assert_factored_exact(monkeypatch, pairing_strategy(canonical_pairing(n)), n)
+    assert_orbit_exact(monkeypatch, pairing_strategy(canonical_pairing(n)), n)
 
 
 @pytest.mark.parametrize("tie_break", [Color.RED, Color.BLUE])
 @pytest.mark.parametrize("n", range(2, 17))
 def test_majority(monkeypatch, n, tie_break):
-    assert_factored_exact(monkeypatch, majority_strategy(n, tie_break), n)
+    assert_orbit_exact(monkeypatch, majority_strategy(n, tie_break), n)
 
 
 @pytest.mark.parametrize("n", range(2, 19))
 def test_composite(monkeypatch, n):
-    assert_factored_exact(monkeypatch, composite_strategy(n), n)
+    assert_orbit_exact(monkeypatch, composite_strategy(n), n)
 
 
 def equal_plan(n, k):
@@ -76,7 +84,7 @@ def test_hand_built_plans(monkeypatch, n, k, spectator):
     plan = equal_plan(n, k)
     monkeypatch.setattr(strategies, "make_partition", lambda _n: plan)
     strategy = composite_strategy(n + spectator)
-    assert_factored_exact(monkeypatch, strategy, n + spectator)
+    assert_orbit_exact(monkeypatch, strategy, n + spectator)
 
 
 @pytest.mark.parametrize("where", ["bottom", "middle", "top"])
@@ -88,7 +96,7 @@ def test_partial_profile(monkeypatch, n, where, size, blue_max, red_min):
     params = PartialStrategyParams(
         members, blue_max, red_min, canonical_pairing(n).restricted_to(members)
     )
-    assert_factored_exact(monkeypatch, partial_profile(params, n), n)
+    assert_orbit_exact(monkeypatch, partial_profile(params, n), n)
 
 
 def chain_pairing(n):
@@ -99,8 +107,38 @@ def chain_pairing(n):
 @pytest.mark.parametrize("n", range(6, 15, 2))
 def test_pairs_across_every_boundary_split_at_zero(monkeypatch, n):
     strategy = pairing_strategy(chain_pairing(n))
-    assert analysis._split_point(n, strategy.guess_rule.parts[1]) == 0
-    assert_factored_exact(monkeypatch, strategy, n)
+    pairs = strategy.guess_rule.pairing.pairs
+    assert not any(all((x <= m) == (y <= m) for x, y in pairs) for m in range(1, n))
+    assert_orbit_exact(monkeypatch, strategy, n)
+
+
+def shuffled_plan(n, k, seed):
+    """A plan whose pairs and blocks are scattered over the players, so that
+    parts interleave and so do the cells inside a part."""
+    rng = random.Random(seed)
+    players = list(range(1, n + 1))
+    rng.shuffle(players)
+    pairs = tuple(tuple(players[i : i + 2]) for i in range(0, n, 2))
+    per_block = n // k // 2
+    blocks = tuple(sum(pairs[b * per_block : (b + 1) * per_block], ()) for b in range(k))
+    return PartitionPlan(n, k, k, blocks, Pairing(pairs))
+
+
+@pytest.mark.parametrize("spectator", [0, 1])
+@pytest.mark.parametrize("n,k,seed", [(8, 2, 1), (12, 3, 2), (12, 2, 3)])
+def test_interleaved_parts_and_cells(monkeypatch, n, k, seed, spectator):
+    plan = shuffled_plan(n, k, seed)
+    monkeypatch.setattr(strategies, "make_partition", lambda _n: plan)
+    strategy = composite_strategy(n + spectator)
+    assert not analysis._separated(strategy.guess_rule.parts[1])
+    assert_orbit_exact(monkeypatch, strategy, n + spectator)
+
+
+def test_nested_cells_in_fixed_blocks(monkeypatch):
+    # pairs (4, 1) and (3, 2) nest inside block 1..4, (8, 5) and (6, 7) inside 5..8
+    pairing = Pairing(((4, 1), (3, 2), (8, 5), (6, 7)))
+    rule = strategies.BlockThresholdRule(pairing, ((4, 1, 3, 2), (8, 5, 6, 7)), ((0, 3), (0, 3)))
+    assert_orbit_exact(monkeypatch, StrategyProfile(8, rule, "nested"), 8)
 
 
 def test_blocks_tied_by_a_pair_declare_no_parts():
@@ -118,7 +156,7 @@ class NoPool:
     """Stands in for ProcessPoolExecutor and fails if any pool is asked for."""
 
     def __init__(self, max_workers, mp_context):
-        raise AssertionError("the factored sweep asked for a process pool")
+        raise AssertionError("the orbit sweep asked for a process pool")
 
 
 @pytest.mark.parametrize(
@@ -127,8 +165,8 @@ class NoPool:
 )
 def test_factored_sweep_starts_no_pool(monkeypatch, strategy, n, workers):
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
-    assert_factored_exact(monkeypatch, strategy, n, workers=workers)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert_orbit_exact(monkeypatch, strategy, n, workers=workers)
 
 
 class CountsTooLittle:
@@ -148,14 +186,15 @@ class CountsTooLittle:
         return self.rule.bulk_guesses(red_mask)
 
 
-def test_oracle_catches_a_counted_mask_too_small():
+def test_oracle_catches_a_counted_mask_too_small(monkeypatch):
     strategy = StrategyProfile(3, CountsTooLittle(), "counts-too-little")
-    factored = analysis._factored_sweep(strategy, 3)
     oracle = _sweep_chunk((strategy, 3, 0, 8))
-    assert (factored.worst_loss, oracle.worst_loss) == (2, 1)
-    assert factored != oracle
+    assert oracle.worst_loss == 1
     with pytest.raises(ContractError, match="parts declaration does not hold"):
-        exhaustive_worst_case(strategy, 3)
+        exhaustive_worst_case(strategy, 3)  # the cell check redraws the hats it claims not to read
+    monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
+    with pytest.raises(ContractError, match="worst loss 2 .*parts declaration does not hold"):
+        exhaustive_worst_case(strategy, 3)  # the witness re-check, on its own
 
 
 class MissesAPlayer(CountsTooLittle):
@@ -183,6 +222,47 @@ def test_factored_sweep_calls_the_bulk_rule_far_fewer_times():
 
     rule.bulk_guesses = counting
     report = exhaustive_worst_case(strategy, 21)
-    assert calls < 40_000  # the bit sweep calls it 2^21 = 2_097_152 times
+    assert calls < 1_000  # the bit sweep calls it 2^21 = 2_097_152 times
     assert report.evaluated == 1 << 21
     assert report.total_correct == 21 << 20  # the averaging identity
+
+
+# n -> exact worst loss of the default plan; k = 3 from n = 34, k = 4 at 128 and 256
+DEFAULT_PLAN_CERTIFICATES = {34: 9, 64: 14, 100: 20, 128: 22, 256: 38}
+
+
+@pytest.mark.parametrize("n", sorted(DEFAULT_PLAN_CERTIFICATES))
+def test_exact_certificates_for_default_plans_past_the_bit_sweep(n):
+    strategy = composite_strategy(n)
+    report = exhaustive_worst_case(strategy, n)
+    plan = make_partition(n)
+    assert report.worst_loss == DEFAULT_PLAN_CERTIFICATES[n]
+    assert report.worst_loss <= guarantee_bound(n, plan).structural_loss
+    assert plan.k >= 3
+    assert report.evaluated == sum(report.histogram.values()) == 1 << n
+    assert report.total_correct == n << (n - 1)  # the averaging identity
+    record = evaluate(strategy, report.witness)  # the witness, re-scored per player
+    target = max(report.witness.red_count, report.witness.blue_count)
+    assert target - record.correct_count == report.worst_loss
+
+
+class PairsByName:
+    """Canonical pairing at n = 6 that declares one part of three pair cells,
+    but whose player 3 always calls red: the guesses depend on which pair is
+    which."""
+
+    def __init__(self):
+        self.rule = strategies.PairingRule(canonical_pairing(6))
+        self.parts = (0, (Part(((1, 2), (3, 4), (5, 6)), 1),))
+
+    def __call__(self, observer, view):
+        return Color.RED if observer == 3 else self.rule(observer, view)
+
+    def bulk_guesses(self, red_mask):
+        return self.rule.bulk_guesses(red_mask) | 0b100
+
+
+def test_cells_that_are_not_interchangeable_are_caught():
+    strategy = StrategyProfile(6, PairsByName(), "pairs-by-name")
+    with pytest.raises(ContractError, match="moving the cells"):
+        exhaustive_worst_case(strategy, 6)

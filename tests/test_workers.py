@@ -1,5 +1,10 @@
 """Worker-count validation and the pool-size cap, checked without starting processes."""
 
+import concurrent.futures
+import multiprocessing
+import subprocess
+import sys
+
 import pytest
 
 from hatguess import (
@@ -49,7 +54,7 @@ class RecordingPool:
 
 def test_run_chunks_starts_the_capped_pool(monkeypatch):
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes.clear()
     strategy = composite_strategy(12)
     capped = monte_carlo(strategy, 12, trials=5000, workers=100_000)  # 5 chunks
@@ -96,9 +101,9 @@ def test_run_chunks_picks_fork_else_spawn(monkeypatch, fork_available, expected)
             raise ValueError("cannot find context for 'fork'")
         return f"{method} context"
 
-    monkeypatch.setattr(analysis, "get_context", get_context)
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", ContextRecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ContextRecordingPool)
     ContextRecordingPool.contexts.clear()
     strategy = composite_strategy(12)
     pooled = monte_carlo(strategy, 12, trials=5000, workers=2)
@@ -115,9 +120,18 @@ class RefusingPool:
 
 def test_unpicklable_rule_needs_one_worker(monkeypatch):
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RefusingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusingPool)
     strategy = StrategyProfile(12, lambda obs, view: Color.RED, "always-red")
     with pytest.raises(ContractError, match="workers=1"):
         exhaustive_worst_case(strategy, 12, workers=2)  # 4 chunks of 1024
     with pytest.raises(ContractError, match="workers=1"):
         monte_carlo(strategy, 12, trials=5000, workers=2)  # 5 chunks of 1024
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, hatguess, hatguess.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
