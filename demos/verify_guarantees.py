@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Exactly verify the composite strategy's worst-case guarantee up to n = 256.
+"""Exactly verify the composite strategy's worst-case guarantee up to n = 257.
 
-For every n from 6 to 64, and for every eighth n after it up to 256 plus
-n = 255, the strategy is scored on all 2^n hat distributions by the orbit
-sweep.  Default plans first use k = 3 blocks at n = 34 and k = 4 at
+For every n from 6 to 64, for every eighth n after it up to 256, and for
+the odd n = 129, 255 and 257, the strategy is scored on all 2^n hat
+distributions by the orbit sweep.  Default plans first use k = 3 blocks at n = 34 and k = 4 at
 n = 128, so the modular threshold offset is certified, not sampled.  The
 observed worst loss below max{r, b} must stay within the structural bound
 max_block/2 + (k-1)^2, which in turn stays below the closed form
@@ -21,7 +21,7 @@ from hatguess import (
     make_partition,
 )
 
-SIZES = list(range(6, 65)) + list(range(72, 257, 8)) + [255]
+SIZES = list(range(6, 65)) + list(range(72, 257, 8)) + [129, 255, 257]
 
 
 def main():

@@ -8,20 +8,23 @@ histogram, and the exact total over all distributions.
 An exhaustive sweep of a rule that declares its ``parts`` (the contract
 is on ``StrategyProfile``) runs over orbits, in one process.  Inside a
 part the guesses depend only on how many of its cells are of each type and
-on what the part reads of the counted red total, so the sweep calls the
-real bulk rule once per part, composition of cell types and read value.
-It then combines the parts: a min-plus DP over red counts gives the worst
-loss and its witness, and products of polynomials with multinomial
-weights give the exact histogram.  Every run checks the declaration on
-seeded masks, re-scores the witness through the bulk rule and per player,
-and requires the histogram to hold 2^n distributions and n * 2^(n-1)
-correct guesses.  The bit sweep, one bulk call per distribution, serves
-every other rule and is the reference the tests compare the orbit sweep
-against.  A sweep whose estimated cost (bulk calls plus histogram bytes)
-exceeds a fixed budget raises ``CapacityError``.  The bit sweep and the
-sampler split their work into chunks that merge associatively, so
-spreading them across worker processes cannot change the result; the
-process pool is imported only when one starts.
+on what the part reads of the red total R, so the sweep calls the real
+bulk rule once per part, composition of cell types and read value.  It
+then combines the parts: a min-plus DP over R gives the worst loss and
+its witness, and products of polynomials with multinomial weights give
+the exact histogram.  The one player who may read R exactly, the odd-n
+spectator, is not counted in R and is right in exactly one of their two
+colors, so they join the histogram as a factor (1 + y).  Every run checks
+the declaration on seeded masks and that spectator at every R, re-scores
+the witness through the bulk rule and per player, and requires the
+histogram to hold 2^n distributions and n * 2^(n-1) correct guesses.  The
+bit sweep, one bulk call per distribution, serves every other rule and is
+the reference the tests compare the orbit sweep against.  A sweep whose
+estimated cost (bulk calls plus histogram bytes) exceeds a fixed budget
+raises ``CapacityError``.  The bit sweep and the sampler split their work
+into chunks that merge associatively, so spreading them across worker
+processes cannot change the result; the process pool is imported only
+when one starts.
 
 Alongside the sweeps sit the exact combinatorial checks: the averaging
 identity (every no-peek strategy totals n * 2^(n-1) correct guesses over
@@ -168,13 +171,11 @@ def _sweep_chunk(payload: tuple[StrategyProfile, int, int, int]) -> _Partial:
     return _reduce(strategy, n, map(full_mask(n).__xor__, range(lo, hi)))
 
 
-def _check_parts(strategy: StrategyProfile, n: int) -> tuple[int, tuple[Part, ...]]:
+def _check_parts(strategy: StrategyProfile, n: int) -> tuple[Part, ...]:
     """Validate the rule's ``parts`` against the players: the cells partition
-    1..n, a part's cells are all pairs or all single players, each part lies
-    wholly inside or wholly outside the counted mask, and at most one part
-    reads the counted total exactly.  Returns (counted mask, parts)."""
-    counted, parts = strategy.guess_rule.parts  # type: ignore[attr-defined]
-    full = full_mask(n)
+    1..n, a part's cells are all pairs or all single players, and a part that
+    reads R exactly is one single player, of whom there is at most one."""
+    parts = strategy.guess_rule.parts  # type: ignore[attr-defined]
     union = exact = 0
     for part in parts:
         if part.modulus < 0 or {len(cell) for cell in part.cells} not in ({1}, {2}):
@@ -187,28 +188,28 @@ def _check_parts(strategy: StrategyProfile, n: int) -> tuple[int, tuple[Part, ..
             if not 1 <= p <= n or (1 << (p - 1)) & (mask | union):
                 raise ContractError(f"{strategy.name}: parts overlap or exceed n={n}")
             mask |= 1 << (p - 1)
-        if mask & counted not in (0, mask):
-            raise ContractError(f"{strategy.name}: a part lies partly inside the counted players")
+        if part.modulus == 0 and mask.bit_count() != 1:
+            raise ContractError(
+                f"{strategy.name}: a part that reads R exactly must be one single player"
+            )
         union |= mask
         exact += part.modulus == 0
-    if union != full or counted & ~full:
+    if union != full_mask(n):
         raise ContractError(f"{strategy.name}: parts must cover exactly the players 1..{n}")
     if exact > 1:
-        raise ContractError(f"{strategy.name}: at most one part may read the counted total exactly")
-    return counted, parts
+        raise ContractError(f"{strategy.name}: at most one part may read R exactly")
+    return parts
 
 
-def _orbit_cost(n: int, counted: int, parts: tuple[Part, ...]) -> int:
+def _orbit_cost(n: int, parts: tuple[Part, ...]) -> int:
     """Bulk calls of the orbit sweep (compositions times read values, per
-    part) plus the bytes of its packed histogram state."""
+    part; the exact reader reads n values of R) plus the bytes of its packed
+    histogram state."""
     calls = 0
-    keys = math.lcm(*(part.modulus for part in parts if part.modulus))
     for part in parts:
         kinds = 1 << len(part.cells[0])
-        outside = (counted & ~part.mask).bit_count()
-        calls += math.comb(len(part.cells) + kinds - 1, kinds - 1) * (part.modulus or outside + 1)
-        if part.modulus == 0:
-            keys = outside + 1  # the histogram then tracks R exactly
+        calls += math.comb(len(part.cells) + kinds - 1, kinds - 1) * (part.modulus or n)
+    keys = math.lcm(*(part.modulus for part in parts if part.modulus))
     return calls + keys * (n + 1) ** 2 // 8
 
 
@@ -244,15 +245,13 @@ def _kind_reds(cell: tuple[int, ...], kind: int) -> int:
 
 class _PartTable(NamedTuple):
     """One part scored through the bulk rule, once per composition of its
-    cell types and per value v of the counted total R it reads: v = R mod k
-    for a part with modulus k >= 1, and the number of red counted players
-    outside the part for the exact reader.  Compositions are indexed in
-    ``_compositions`` order; _UNREACHABLE marks a pair (v, composition) that
-    no distribution has."""
+    cell types and per value v of the red total R it reads: v = R mod k for
+    a part with modulus k >= 1, and R itself for the exact reader.
+    Compositions are indexed in ``_compositions`` order; _UNREACHABLE marks a
+    pair (v, composition) that no distribution has."""
 
     part: Part
     mask: int
-    counted: bool
     reds: array  # red hats per composition
     cor: list[array]  # cor[v][i]: correct guesses inside the part
     best: list[list[int]]  # best[v][c]: the fewest correct guesses with c red hats
@@ -271,10 +270,11 @@ class _PartTable(NamedTuple):
 _UNREACHABLE = 0xFFFF
 
 
-def _part_table(bulk, counted_mask: int, part: Part) -> _PartTable:
+def _part_table(bulk, r_mask: int, part: Part) -> _PartTable:
     """Call the bulk rule once per composition and read value on a
     representative mask: the part's cells take their types in order, and the
-    lowest counted players outside the part are red as often as v needs."""
+    lowest players outside the part that R counts (``r_mask``) are red as
+    often as v needs."""
     cells = part.cells
     arity = len(cells[0])
     kinds = 1 << arity
@@ -283,8 +283,7 @@ def _part_table(bulk, counted_mask: int, part: Part) -> _PartTable:
         for role, p in zip(roles, cell):
             role.append(role[-1] | 1 << (p - 1))
     mask = part.mask
-    counted = bool(mask & counted_mask)
-    rest = counted_mask & ~mask
+    rest = r_mask & ~mask
     outs = [0]
     needed = rest.bit_count() if part.modulus == 0 else min(part.modulus - 1, rest.bit_count())
     for _ in range(needed):
@@ -308,9 +307,8 @@ def _part_table(bulk, counted_mask: int, part: Part) -> _PartTable:
                 start = end
         c = red.bit_count()
         reds.append(c)
-        own = c if counted else 0
         for v in range(reads):
-            t = (v - own) % part.modulus if part.modulus else v
+            t = (v - c) % part.modulus if part.modulus else v
             if t < len(outs):
                 both = red | outs[t]
                 k = cor[v][i] = (~(bulk(both) ^ both) & mask).bit_count()
@@ -322,13 +320,13 @@ def _part_table(bulk, counted_mask: int, part: Part) -> _PartTable:
         tuple(sorted(((k, _kind_reds(cell, k)) for k in range(kinds)), key=lambda e: -e[1]))
         for cell in sorted(cells, key=max, reverse=True)
     ]
-    return _PartTable(part, mask, counted, reds, cor, best, weights, tops)
+    return _PartTable(part, mask, reds, cor, best, weights, tops)
 
 
-def _check_cells(strategy: StrategyProfile, n: int, counted: int, parts: tuple[Part, ...]) -> None:
+def _check_cells(strategy: StrategyProfile, n: int, r_mask: int, parts: tuple[Part, ...]) -> None:
     """The parts promise, tried on ``_CELL_CHECKS`` seeded masks: move the
     cells of one part by a random permutation and redraw every hat outside it
-    that the part cannot read (the counted ones keep their count, or its
+    that the part cannot read (those R counts keep their count, or its
     residue mod k, or nothing, as the part's modulus says).  The part's
     guesses must move with its cells."""
     rng = random.Random(n)
@@ -337,7 +335,7 @@ def _check_cells(strategy: StrategyProfile, n: int, counted: int, parts: tuple[P
     layouts = []
     for part in parts[:_CELL_CHECKS]:
         inside = part.mask
-        layouts.append((part, inside, [p for p in range(n) if (counted & ~inside) >> p & 1]))
+        layouts.append((part, inside, [p for p in range(n) if (r_mask & ~inside) >> p & 1]))
     for i in range(_CELL_CHECKS):
         part, inside, others = layouts[i % len(layouts)]
         order = list(part.cells)
@@ -345,10 +343,10 @@ def _check_cells(strategy: StrategyProfile, n: int, counted: int, parts: tuple[P
         mask = rng.getrandbits(n)
         for _ in range(i % 3):  # vary the density of red hats
             mask = mask & rng.getrandbits(n) if i & 1 else mask | rng.getrandbits(n)
-        reds = (mask & counted & ~inside).bit_count()
+        reds = (mask & r_mask & ~inside).bit_count()
         if part.modulus:
             reds = rng.choice(range(reds % part.modulus, len(others) + 1, part.modulus))
-        outside = rng.getrandbits(n) & full & ~counted & ~inside
+        outside = rng.getrandbits(n) & full & ~r_mask & ~inside
         outside |= sum(1 << p for p in rng.sample(others, reds))
 
         def move(bits: int) -> int:
@@ -365,14 +363,13 @@ def _check_cells(strategy: StrategyProfile, n: int, counted: int, parts: tuple[P
             )
 
 
-def _min_plus(old: list[int], best: list[int], step: int) -> list[int]:
-    """new[s + c * step] = min over c of old[s] + best[c]."""
+def _min_plus(old: list[int], best: list[int]) -> list[int]:
+    """new[s + c] = min over c of old[s] + best[c]."""
     size = len(old)
     new = [_INF] * size
     for c, b in enumerate(best):
-        off = c * step
-        if b < _INF and off < size:
-            new[off:] = map(min, new[off:], [v + b for v in old[: size - off]])
+        if b < _INF and c < size:
+            new[c:] = map(min, new[c:], [v + b for v in old[: size - c]])
     return new
 
 
@@ -397,89 +394,77 @@ def _earliest_arrangement(
     return tuple(used), red
 
 
-def _orbit_sweep(
-    strategy: StrategyProfile, n: int, counted: int, parts: tuple[Part, ...]
-) -> _Partial:
+def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> _Partial:
     """The exhaustive sweep of a rule with ``parts``, over orbits.
 
     Each part is scored once per composition and read value (``_part_table``).
     The parts other than the exact reader are combined once per residue rho of
-    the counted total R mod K, K the lcm of their moduli:
+    their red total R mod K, K the lcm of their moduli:
 
-    * worst loss: a min-plus DP over (counted, uncounted) red counts, kept
-      suffix by suffix for the witness;
-    * histogram: polynomials in x (R mod K, or R itself when a part reads it
-      exactly) whose coefficients are polynomials in y (correct guesses)
-      packed into one int each, weighted by multinomial arrangement counts.
+    * worst loss: a min-plus DP over R, kept suffix by suffix for the witness;
+    * histogram: polynomials in x (R mod K) whose coefficients are
+      polynomials in y (correct guesses) packed into one int each, weighted
+      by multinomial arrangement counts.
 
-    The exact reader, when there is one, joins last, where R is known.  The
+    The exact reader, when there is one, joins last, where R is known.  No
+    part reads its hat and it is right in exactly one of its two colors
+    (checked for every R), so it multiplies the histogram by (1 + y).  The
     witness is the bit sweep's: the smallest index among the worst cases,
     built top-down part by part (parts by their highest player), each part
     taking the earliest arrangement that can still reach the worst loss.
     It is re-scored through the bulk rule and per player, and the histogram
     must hold 2^n distributions and n * 2^(n-1) correct guesses.
     """
-    _check_cells(strategy, n, counted, parts)
+    full = full_mask(n)
+    r_mask = full ^ sum(part.mask for part in parts if not part.modulus)
+    _check_cells(strategy, n, r_mask, parts)
     bulk = strategy.bulk
-    tables = [_part_table(bulk, counted, part) for part in parts]
+    tables = [_part_table(bulk, r_mask, part) for part in parts]
     exact = next((t for t in tables if t.part.modulus == 0), None)
+    if exact is not None and any(cor[0] + cor[1] != 1 for cor in exact.cor):
+        raise ContractError(
+            f"{strategy.name}: player {exact.mask.bit_length()} reads R exactly but is not "
+            f"right in exactly one of their two colors for every R; their guess depends "
+            f"on their own hat"
+        )
     others = sorted((t for t in tables if t is not exact), key=lambda t: t.mask, reverse=True)
     big_k = math.lcm(*(t.part.modulus for t in others))
-    step = 1 + sum(t.mask.bit_count() for t in others if not t.counted)
-    states = (1 + sum(t.mask.bit_count() for t in others if t.counted)) * step
-    keys = big_k if exact is None else states // step
     size = n // 8 + 1  # bytes per packed coefficient: every count is at most 2^n
     width = 8 * size
     hist = [0] * (n + 1)
     chains = []
-    ends = []  # (loss, rho, R outside the exact reader, its composition)
+    ends = []  # (loss, rho, R, the exact reader's composition)
     for rho in range(big_k):
-        chain = [[0] + [_INF] * (states - 1)]
-        acc = [1] + [0] * (keys - 1)
+        chain = [[0] + [_INF] * r_mask.bit_count()]
+        acc = [1] + [0] * (big_k - 1)
         for t in reversed(others):
             v = t.read(rho)
-            chain.append(_min_plus(chain[-1], t.best[v], step if t.counted else 1))
-            terms = [
-                ((c if t.counted else 0) % keys, cor * width, weight)
-                for (c, cor), weight in t.weights[v].items()
-            ]
-            new = [0] * keys
+            chain.append(_min_plus(chain[-1], t.best[v]))
+            terms = [(c % big_k, cor * width, weight) for (c, cor), weight in t.weights[v].items()]
+            new = [0] * big_k
             for j, a in enumerate(acc):
                 if a:
                     for dj, shift, weight in terms:
-                        new[(j + dj) % keys] += a * weight << shift
+                        new[(j + dj) % big_k] += a * weight << shift
             acc = new
         chain.reverse()  # chain[j]: the fewest correct guesses of others[j:]
         chains.append(chain)
-        for index, fewest in enumerate(chain[0]):
-            if fewest >= _INF:
+        for r, fewest in enumerate(chain[0]):
+            if fewest >= _INF or r % big_k != rho:
                 continue
-            base, u = divmod(index, step)
             if exact is None:
-                if base % big_k == rho:
-                    ends.append((max(base + u, n - base - u) - fewest, rho, None, None))
+                ends.append((max(r, n - r) - fewest, rho, None, None))
                 continue
             for i, c in enumerate(exact.reds):
-                cor = exact.cor[base][i]
-                if cor != _UNREACHABLE and (base + (c if exact.counted else 0)) % big_k == rho:
-                    r = base + u + c
-                    ends.append((max(r, n - r) - fewest - cor, rho, base, i))
-        if exact is None:
-            _add_slots(hist, acc[rho], 0, size)
-            continue
-        by_cor: dict[int, int] = {}  # the exact reader's correct guesses: packed polynomial
-        for base, a in enumerate(acc):
-            for (c, cor), weight in exact.weights[base].items() if a else ():
-                if (base + (c if exact.counted else 0)) % big_k == rho:
-                    by_cor[cor] = by_cor.get(cor, 0) + a * weight
-        for cor, packed in by_cor.items():
-            _add_slots(hist, packed, cor, size)
+                ends.append((max(r + c, n - r - c) - fewest - exact.cor[r][i], rho, r, i))
+        _add_slots(hist, acc[rho], 0, size)
+    if exact is not None:
+        hist = [a + b for a, b in zip(hist, [0] + hist)]  # times (1 + y)
     worst = max(e[0] for e in ends)
-    full = full_mask(n)
     find = _witness if _separated(parts) else _witness_by_player
     red, cor = min(
-        (find(others, chains[rho], rho, big_k, step, n, worst, exact, base, i)
-         for rho, base, i in {e[1:] for e in ends if e[0] == worst}),
+        (find(others, chains[rho], rho, big_k, n, worst, exact, r, i)
+         for rho, r, i in {e[1:] for e in ends if e[0] == worst}),
         key=lambda found: full ^ found[0],  # the bit sweep's index of the distribution
     )
     r = red.bit_count()
@@ -524,34 +509,31 @@ def _separated(parts: tuple[Part, ...]) -> bool:
     )
 
 
-def _witness(others, chain, rho, big_k, step, n, worst, exact, base, i) -> tuple[int, int]:
-    """The earliest worst case whose counted total R has residue rho, with an
-    exact reader also the earliest whose other counted players hold ``base``
-    red hats and whose exact reader has composition i: (red mask, correct).
-    Parts and cells must not interleave (``_separated``)."""
+def _witness(others, chain, rho, big_k, n, worst, exact, base, i) -> tuple[int, int]:
+    """The earliest worst case whose R has residue rho, with an exact reader
+    also the earliest with R = ``base`` and the exact reader in composition
+    i: (red mask, correct).  Parts and cells must not interleave
+    (``_separated``)."""
     if exact is None:
         red = extra_reds = extra_cor = 0
     else:
         extra_reds, extra_cor = exact.reds[i], exact.cor[base][i]
         red = _earliest_arrangement(exact, [list(exact.comps())[i][0]])[1]
-    counted_reds = uncounted_reds = cor = 0
+    reds = cor = 0
     for j, t in enumerate(others):
         after = chain[j + 1]
-        rows = len(after) // step
         allow = []  # the most correct guesses the part may have with c red hats
         for c in range(t.mask.bit_count() + 1):
-            own = c if t.counted else 0
             if exact is None:
-                rests = range((rho - counted_reds - own) % big_k, rows, big_k)
+                rests = range((rho - reds - c) % big_k, len(after), big_k)
             else:
-                rest = base - counted_reds - own
-                rests = range(rest, min(rest + 1, rows)) if rest >= 0 else ()
+                rest = base - reds - c
+                rests = range(rest, min(rest + 1, len(after))) if rest >= 0 else ()
             most = -_INF
             for rest in rests:
-                for u in range(step):
-                    if after[rest * step + u] < _INF:
-                        r = counted_reds + uncounted_reds + rest + u + c + extra_reds
-                        most = max(most, max(r, n - r) - after[rest * step + u])
+                if after[rest] < _INF:
+                    r = reds + rest + c + extra_reds
+                    most = max(most, max(r, n - r) - after[rest])
             allow.append(most - cor - extra_cor - worst)
         v = t.read(rho)
         fits = {
@@ -559,18 +541,13 @@ def _witness(others, chain, rho, big_k, step, n, worst, exact, base, i) -> tuple
         }
         comp, part_red = _earliest_arrangement(t, list(fits))
         c, k = fits[comp]
-        if t.counted:
-            counted_reds += c
-        else:
-            uncounted_reds += c
+        reds += c
         cor += k
         red |= part_red
     return red, cor + extra_cor
 
 
-def _witness_by_player(
-    others, chain, rho, big_k, step, n, worst, exact, base, i
-) -> tuple[int, int]:
+def _witness_by_player(others, chain, rho, big_k, n, worst, exact, base, i) -> tuple[int, int]:
     """``_witness`` for layouts whose parts or cells interleave.  The players
     are fixed from the top, each red if some worst case still extends the hats
     fixed so far.  A composition of a part fits its fixed hats when Hall's
@@ -609,27 +586,24 @@ def _witness_by_player(
 
     def extends(fits: list, touched: int) -> bool:
         fewest_of = chain[touched]
-        reds = [0, 0]  # counted, uncounted red hats of the parts down to one option
-        extra_reds = extra_cor = 0
+        reds = extra_reds = extra_cor = 0  # of the parts down to one option, and the exact reader
         for t, options in zip(others[:touched], fits):
             if len(options) == 1:
-                reds[not t.counted] += options[0][1]
+                reds += options[0][1]
                 extra_cor += options[0][2]
                 continue
             best = [_INF] * (t.mask.bit_count() + 1)
             for _, c, cor in options:
                 best[c] = min(best[c], cor)
-            fewest_of = _min_plus(fewest_of, best, step if t.counted else 1)
+            fewest_of = _min_plus(fewest_of, best)
         if exact is not None:
             if not fits[-1]:
                 return False
             extra_reds = fits[-1][0][1]
             extra_cor += fits[-1][0][2]
-        for index, fewest in enumerate(fewest_of):
-            rest, u = divmod(index, step)
-            rest += reds[0]
+        for rest, fewest in enumerate(fewest_of, start=reds):
             if fewest < _INF and (rest == base if exact is not None else rest % big_k == rho):
-                r = rest + u + reds[1] + extra_reds
+                r = rest + extra_reds
                 if max(r, n - r) - fewest - extra_cor >= worst:
                     return True
         return False
@@ -718,8 +692,8 @@ def exhaustive_worst_case(
     _check_workers(workers)
     orbits = strategy.bulk is not None and getattr(strategy.guess_rule, "parts", None) is not None
     if orbits:
-        counted, parts = _check_parts(strategy, n)
-        cost = _orbit_cost(n, counted, parts)
+        parts = _check_parts(strategy, n)
+        cost = _orbit_cost(n, parts)
     else:
         cost = (1 << n) + (n + 1) ** 2 // 8
     if cost > _SWEEP_BUDGET:
@@ -729,7 +703,7 @@ def exhaustive_worst_case(
             f"use monte_carlo for sampled checks"
         )
     if orbits:
-        part = _orbit_sweep(strategy, n, counted, parts)
+        part = _orbit_sweep(strategy, n, parts)
     else:
         payloads = [(strategy, n, lo, hi) for lo, hi in _ranges(1 << n, workers)]
         part = _run_chunks(payloads, _sweep_chunk, workers)

@@ -196,8 +196,10 @@ class Part(NamedTuple):
     ``cells`` are ordered pairs ``(x, y)`` or single players ``(p,)``, all of
     one kind within a part.  A pair cell has four types, named by the hats of
     x and y: RR, RB, BR, BB; a single cell has two, R and B.  ``modulus``
-    says how the part reads the counted red total R: 1 not at all, k >= 2
-    as R mod k, 0 exactly (R mod 0 = R).
+    says how the part reads the red total R: 1 not at all, k >= 2 as R mod
+    k, 0 exactly (R mod 0 = R).  R counts the red hats of every player
+    outside the part that reads it exactly, or of all players when no part
+    does.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -219,13 +221,12 @@ class StrategyProfile:
     player i guesses red.  The fast path must agree with the per-player
     rule everywhere (this is tested, not assumed).
 
-    A rule with a fast path may also declare
-    ``parts = (counted_mask, (Part, ...))``.  The parts' cells partition the
-    players, each part lies wholly inside or wholly outside
-    ``counted_mask``, and at most one part reads the counted total exactly.
-    The promise: the guesses inside a part depend only on how many of its
-    cells are of each type and on what its ``modulus`` lets it read of
-    ``R = popcount(red_mask & counted_mask)``.  Moving the hats of one cell
+    A rule with a fast path may also declare ``parts = (Part, ...)``.  The
+    parts' cells partition the players, and a part that reads R exactly is
+    one single player, of whom there is at most one (the odd-n spectator):
+    R is then the red count of everyone else.  The promise: the guesses
+    inside a part depend only on how many of its cells are of each type and
+    on what its ``modulus`` lets it read of R.  Moving the hats of one cell
     onto another cell of the same part moves that cell's guesses with them.
     The exhaustive sweep of such a rule scores each part once per
     composition of cell types and per value it reads, instead of every

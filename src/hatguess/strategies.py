@@ -151,9 +151,9 @@ class PairingRule:
         return seen if self.pairing.is_first(observer) else seen.opposite()
 
     @property
-    def parts(self) -> tuple[int, tuple[Part, ...]]:
+    def parts(self) -> tuple[Part, ...]:
         """Each pair is a part of one cell and reads no count."""
-        return 0, tuple(Part((pair,), 1) for pair in self.pairing.pairs)
+        return tuple(Part((pair,), 1) for pair in self.pairing.pairs)
 
     def bulk_guesses(self, red_mask: int) -> int:
         if self._x_mask is not None:
@@ -194,9 +194,10 @@ class MajorityRule:
         return self._decide(reds, self.n - 1 - reds)
 
     @property
-    def parts(self) -> tuple[int, tuple[Part, ...]]:
-        """One part of n single players, reading the red total exactly."""
-        return self._full, (Part(tuple((p,) for p in range(1, self.n + 1)), 0),)
+    def parts(self) -> tuple[Part, ...]:
+        """One part of n single players.  With no one outside it, its own
+        composition is all it reads."""
+        return (Part(tuple((p,) for p in range(1, self.n + 1)), 1),)
 
     def bulk_guesses(self, red_mask: int) -> int:
         r = (red_mask & self._full).bit_count()
@@ -313,10 +314,10 @@ class BlockThresholdRule:
         return self._pairing_rule(observer, view)
 
     @property
-    def parts(self) -> tuple[int, tuple[Part, ...]] | None:
+    def parts(self) -> tuple[Part, ...] | None:
         """Each block is a part of its pairs, each unblocked pair a part of
-        its own.  A plan's block reads the covered red count mod k (its
-        outside count is that minus its own), a fixed block reads nothing."""
+        its own.  A plan's block reads the red total R mod k (its outside
+        count is that minus its own), a fixed block reads nothing."""
         block_of = self._block_of.get
         cells: list[list[tuple[int, int]]] = [[] for _ in self._blocks]
         loose = []
@@ -328,9 +329,8 @@ class BlockThresholdRule:
                 loose.append(Part(((x, y),), 1))
             else:
                 cells[i].append((x, y))
-        counted = self._covered if self.plan is not None else 0
         blocks = tuple(Part(tuple(c), len(table)) for c, (_, table) in zip(cells, self._blocks))
-        return counted, blocks + tuple(loose)
+        return blocks + tuple(loose)
 
     def bulk_guesses(self, red_mask: int) -> int:
         pairing_g = self._pairing_rule.bulk_guesses(red_mask)
@@ -549,14 +549,13 @@ class SpectatorCompositeRule:
         return self.inner(observer, view)
 
     @property
-    def parts(self) -> tuple[int, tuple[Part, ...]] | None:
+    def parts(self) -> tuple[Part, ...] | None:
         """The inner parts plus the spectator, who reads the inner red count
         exactly."""
         inner = getattr(self.inner, "parts", None)
         if inner is None:
             return None
-        counted, parts = inner
-        return counted | self._inner_full, parts + (Part(((self.n,),), 0),)
+        return inner + (Part(((self.n,),), 0),)
 
     def bulk_guesses(self, red_mask: int) -> int:
         inner_bulk = self.inner.bulk_guesses  # type: ignore[attr-defined]

@@ -1,7 +1,7 @@
 """The orbit-compressed exhaustive sweep against the bit sweep, its reference.
 
 Rules that declare ``parts`` are swept by scoring each part once per
-composition of its cell types and per value of the counted total it reads.
+composition of its cell types and per value of the red total it reads.
 Every report here must equal, field for field, the bit sweep's
 (``_sweep_chunk`` over all 2^n distributions): min, worst loss, earliest
 witness, histogram, total and count.
@@ -130,7 +130,7 @@ def test_interleaved_parts_and_cells(monkeypatch, n, k, seed, spectator):
     plan = shuffled_plan(n, k, seed)
     monkeypatch.setattr(strategies, "make_partition", lambda _n: plan)
     strategy = composite_strategy(n + spectator)
-    assert not analysis._separated(strategy.guess_rule.parts[1])
+    assert not analysis._separated(strategy.guess_rule.parts)
     assert_orbit_exact(monkeypatch, strategy, n + spectator)
 
 
@@ -170,14 +170,14 @@ def test_factored_sweep_starts_no_pool(monkeypatch, strategy, n, workers):
 
 
 class CountsTooLittle:
-    """The spectator around the n = 2 pairing, declaring that it counts no hat.
+    """The spectator around the n = 2 pairing, declaring that it reads nothing.
 
-    The spectator reads hats 1 and 2, so the true counted mask is 0b011.
+    The spectator reads hats 1 and 2, so its true part reads R exactly.
     """
 
     def __init__(self):
         self.rule = composite_strategy(3).guess_rule
-        self.parts = (0, self.rule.parts[1])
+        self.parts = self.rule.parts[:-1] + (Part(((3,),), 1),)
 
     def __call__(self, observer, view):
         return self.rule(observer, view)
@@ -200,13 +200,71 @@ def test_oracle_catches_a_counted_mask_too_small(monkeypatch):
 class MissesAPlayer(CountsTooLittle):
     def __init__(self):
         super().__init__()
-        self.parts = (0b011, self.rule.parts[1][:-1])
+        self.parts = self.rule.parts[:-1]
 
 
 def test_parts_must_cover_every_player():
     strategy = StrategyProfile(3, MissesAPlayer(), "misses-a-player")
     with pytest.raises(ContractError, match="cover exactly"):
         exhaustive_worst_case(strategy, 3)
+
+
+class TwoExactReaders(CountsTooLittle):
+    """Majority at n = 4 declaring players 1 and 2 as one part that reads R
+    exactly."""
+
+    def __init__(self):
+        self.rule = majority_strategy(4).guess_rule
+        self.parts = (Part(((1,), (2,)), 0), Part(((3,), (4,)), 1))
+
+
+def test_an_exact_reader_must_be_one_single_player():
+    strategy = StrategyProfile(4, TwoExactReaders(), "two-exact-readers")
+    with pytest.raises(ContractError, match="one single player"):
+        analysis._check_parts(strategy, 4)
+
+
+class PeekingSpectator(CountsTooLittle):
+    """composite_strategy(5) whose bulk path makes the spectator, player 5,
+    call their own hat.  Their part is one cell, so moving cells changes
+    nothing and only the one-of-two-colors check can see it."""
+
+    def __init__(self):
+        self.rule = composite_strategy(5).guess_rule
+        self.parts = self.rule.parts
+
+    def bulk_guesses(self, red_mask):
+        return self.rule.bulk_guesses(red_mask) & 0b01111 | red_mask & 0b10000
+
+
+def test_a_spectator_who_peeks_is_caught():
+    strategy = StrategyProfile(5, PeekingSpectator(), "peeking-spectator")
+    with pytest.raises(ContractError, match="player 5 reads R exactly .*their own hat"):
+        exhaustive_worst_case(strategy, 5)
+
+
+@pytest.mark.parametrize("n", [35, 129, 257])
+def test_odd_certificates_are_the_inner_rule_times_one_plus_y(n):
+    """The spectator is right in exactly one of their two colors on every
+    distribution of the others, so the odd-n histogram is the inner even
+    rule's at n - 1 times (1 + y)."""
+    strategy = composite_strategy(n)
+    report = exhaustive_worst_case(strategy, n)
+    inner = exhaustive_worst_case(composite_strategy(n - 1), n - 1).histogram
+    times = {c: inner.get(c, 0) + inner.get(c - 1, 0) for c in range(n + 1)}
+    assert report.histogram == {c: k for c, k in times.items() if k}
+    assert report.evaluated == 1 << n
+    assert report.total_correct == n << (n - 1)  # the averaging identity
+    record = evaluate(strategy, report.witness)  # the witness, re-scored per player
+    target = max(report.witness.red_count, report.witness.blue_count)
+    assert target - record.correct_count == report.worst_loss
+    assert report.worst_loss <= guarantee_bound(n).theorem_loss_general
+
+
+def test_odd_composite_999_fits_the_sweep_budget():
+    strategy = composite_strategy(999)
+    parts = analysis._check_parts(strategy, 999)
+    assert analysis._orbit_cost(999, parts) <= analysis._SWEEP_BUDGET
 
 
 def test_factored_sweep_calls_the_bulk_rule_far_fewer_times():
@@ -253,7 +311,7 @@ class PairsByName:
 
     def __init__(self):
         self.rule = strategies.PairingRule(canonical_pairing(6))
-        self.parts = (0, (Part(((1, 2), (3, 4), (5, 6)), 1),))
+        self.parts = (Part(((1, 2), (3, 4), (5, 6)), 1),)
 
     def __call__(self, observer, view):
         return Color.RED if observer == 3 else self.rule(observer, view)

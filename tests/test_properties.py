@@ -1,7 +1,8 @@
-"""Property tests (Hypothesis, MacIver et al., JOSS 2019): the bulk bit path
-of the block-threshold rule equals the per-player path on random valid
+"""Property tests (Hypothesis, MacIver et al., JOSS 2019) on random valid
 plans, with k >= 2 blocks of large/small sizes and players shuffled across
-blocks, and on their odd-n spectator."""
+blocks, and on their odd-n spectator: the bulk bit path of the
+block-threshold rule equals the per-player path, and neither path lets a
+player's guess depend on their own hat."""
 
 import pytest
 
@@ -16,6 +17,7 @@ from hatguess import (  # noqa: E402
     PartitionPlan,
     StrategyProfile,
     evaluate,
+    verify_no_peek,
 )
 from hatguess.core import mask_of  # noqa: E402
 from hatguess.strategies import BlockThresholdRule, SpectatorCompositeRule  # noqa: E402
@@ -68,3 +70,17 @@ def test_bulk_matches_per_player_on_random_plans(plan_and_mask):
     inner = mask & ((1 << n) - 1)
     assert even.bulk(inner) == guesses_mask(even, inner)
     assert odd.bulk(mask) == guesses_mask(odd, mask)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(plans_and_masks())
+def test_no_player_reads_their_own_hat_on_random_plans(plan_and_mask):
+    """The orbit sweep joins the spectator as a factor (1 + y) on this."""
+    plan, mask = plan_and_mask
+    n = plan.n
+    rule = BlockThresholdRule(plan.pairing, plan.blocks, plan)
+    odd = StrategyProfile(n + 1, SpectatorCompositeRule(n + 1, rule), "composite")
+    guesses = odd.bulk(mask)
+    for p in range(n + 1):
+        assert (odd.bulk(mask ^ 1 << p) ^ guesses) >> p & 1 == 0
+    assert verify_no_peek(odd, HatDistribution(n + 1, mask)) == []
