@@ -15,14 +15,15 @@ its witness, and products of polynomials with multinomial weights give
 the exact histogram.  The one player who may read R exactly, the odd-n
 spectator, is not counted in R and is right in exactly one of their two
 colors, so they join the histogram as a factor (1 + y).  Every run checks
-the declaration on seeded masks and that spectator at every R, re-scores
-the witness through the bulk rule and per player, and requires the
-histogram to hold 2^n distributions and n * 2^(n-1) correct guesses.  The
-bit sweep, one bulk call per distribution, serves every other rule and is
-the reference the tests compare the orbit sweep against.  A sweep whose
-estimated cost (bulk calls plus histogram bytes) exceeds a fixed budget
-raises ``CapacityError``.  The bit sweep and the sampler split their work
-into chunks that merge associatively, so spreading them across worker
+on seeded masks that each part scores what its table says, checks that
+spectator at every R, re-scores the witness through the bulk rule and per
+player, and requires the histogram to hold 2^n distributions and
+n * 2^(n-1) correct guesses.  The bit sweep, one bulk call per
+distribution, serves every other rule and is the reference the tests
+compare the orbit sweep against.  A sweep whose estimated cost (bulk
+calls plus histogram bytes) exceeds a fixed budget raises
+``CapacityError``.  The bit sweep and the sampler split their work into
+chunks that merge associatively, so spreading them across worker
 processes cannot change the result; the process pool is imported only
 when one starts.
 
@@ -59,12 +60,13 @@ from .core import (
 
 EXACT_TOTAL_MAX_N = 14
 SEARCH_MAX_N = 3
+IDENTITY_MAX_N = 4096  # n + 1 binomials of n bits: 1.4 s at 4096, 9.8 s at 8192 (2 vCPU)
 
 # An exhaustive sweep may cost this many units: one unit is a bulk call or a
 # byte of the orbit sweep's packed histogram state.  The bit sweep reaches it
 # between n = 24 and n = 25.
 _SWEEP_BUDGET = 3 << 23
-_CELL_CHECKS = 32  # seeded masks on which every orbit sweep tests the parts promise
+_CELL_CHECKS = 32  # seeded masks on which every orbit sweep compares each part with its table
 _INF = 1 << 62  # no distribution reaches this state
 
 _SAMPLE_CHUNK = 1024  # fixed so reports do not depend on the worker count
@@ -323,44 +325,44 @@ def _part_table(bulk, r_mask: int, part: Part) -> _PartTable:
     return _PartTable(part, mask, reds, cor, best, weights, tops)
 
 
-def _check_cells(strategy: StrategyProfile, n: int, r_mask: int, parts: tuple[Part, ...]) -> None:
-    """The parts promise, tried on ``_CELL_CHECKS`` seeded masks: move the
-    cells of one part by a random permutation and redraw every hat outside it
-    that the part cannot read (those R counts keep their count, or its
-    residue mod k, or nothing, as the part's modulus says).  The part's
-    guesses must move with its cells."""
+def _comp_index(comp: list[int]) -> int:
+    """The index of ``comp`` in ``_compositions`` order: for each kind j >= 1,
+    the C(rest + kinds - 1 - j, kinds - j) compositions that agree with it before
+    kind j - 1 and have more of that kind come first (rest: cells of kinds >= j)."""
+    kinds = len(comp)
+    index = rest = 0
+    for j in range(kinds - 1, 0, -1):
+        rest += comp[j]
+        index += math.comb(rest + kinds - 1 - j, kinds - j)
+    return index
+
+
+def _check_cells(strategy: StrategyProfile, n: int, r_mask: int, tables: list[_PartTable]) -> None:
+    """The parts promise on ``_CELL_CHECKS`` seeded masks, one bulk call each:
+    every part must score its table's correct guesses for the mask's composition
+    of cell types and the value it reads of R, all the sweep takes from a part."""
     rng = random.Random(n)
-    bulk = strategy.bulk
-    full = full_mask(n)
-    layouts = []
-    for part in parts[:_CELL_CHECKS]:
-        inside = part.mask
-        layouts.append((part, inside, [p for p in range(n) if (r_mask & ~inside) >> p & 1]))
     for i in range(_CELL_CHECKS):
-        part, inside, others = layouts[i % len(layouts)]
-        order = list(part.cells)
-        rng.shuffle(order)
         mask = rng.getrandbits(n)
         for _ in range(i % 3):  # vary the density of red hats
             mask = mask & rng.getrandbits(n) if i & 1 else mask | rng.getrandbits(n)
-        reds = (mask & r_mask & ~inside).bit_count()
-        if part.modulus:
-            reds = rng.choice(range(reds % part.modulus, len(others) + 1, part.modulus))
-        outside = rng.getrandbits(n) & full & ~r_mask & ~inside
-        outside |= sum(1 << p for p in rng.sample(others, reds))
-
-        def move(bits: int) -> int:
-            out = 0
-            for src, dst in zip(part.cells, order):
-                for p, q in zip(src, dst):
-                    out |= (bits >> (p - 1) & 1) << (q - 1)
-            return out
-
-        if move(bulk(mask)) != bulk(move(mask) | outside) & inside:
-            raise ContractError(
-                f"{strategy.name}: moving the cells of the part {part.cells} moved its "
-                f"guesses differently; the rule's parts declaration does not hold"
-            )
+        right, blue = ~(strategy.bulk(mask) ^ mask), ~mask
+        r = (mask & r_mask).bit_count()
+        for t in tables:
+            comp = [0] * (1 << len(t.part.cells[0]))
+            for cell in t.part.cells:
+                kind = 0  # bit set = blue, the first player in the highest bit
+                for p in cell:
+                    kind = kind << 1 | blue >> (p - 1) & 1
+                comp[kind] += 1
+            got = (right & t.mask).bit_count()
+            want = t.cor[t.read(r) if t.part.modulus else r][_comp_index(comp)]
+            if got != want:
+                raise ContractError(
+                    f"{strategy.name}: the part {t.part.cells} has {got} correct guesses, its "
+                    f"table {want}; moving the cells or the hats it may not read moves its "
+                    f"guesses, so the rule's parts declaration does not hold"
+                )
 
 
 def _min_plus(old: list[int], best: list[int]) -> list[int]:
@@ -417,9 +419,9 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
     """
     full = full_mask(n)
     r_mask = full ^ sum(part.mask for part in parts if not part.modulus)
-    _check_cells(strategy, n, r_mask, parts)
     bulk = strategy.bulk
     tables = [_part_table(bulk, r_mask, part) for part in parts]
+    _check_cells(strategy, n, r_mask, tables)
     exact = next((t for t in tables if t.part.modulus == 0), None)
     if exact is not None and any(cor[0] + cor[1] != 1 for cor in exact.cor):
         raise ContractError(
@@ -457,7 +459,7 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
                 continue
             for i, c in enumerate(exact.reds):
                 ends.append((max(r + c, n - r - c) - fewest - exact.cor[r][i], rho, r, i))
-        _add_slots(hist, acc[rho], 0, size)
+        _add_slots(hist, acc[rho], size)
     if exact is not None:
         hist = [a + b for a, b in zip(hist, [0] + hist)]  # times (1 + y)
     worst = max(e[0] for e in ends)
@@ -487,12 +489,12 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
     return part
 
 
-def _add_slots(hist: list[int], packed: int, shift: int, size: int) -> None:
+def _add_slots(hist: list[int], packed: int, size: int) -> None:
     """Add the coefficients of ``packed``, ``size`` bytes each from the
-    lowest, to hist[shift], hist[shift + 1], ..."""
+    lowest, to hist[0], hist[1], ..."""
     data = packed.to_bytes(-(-packed.bit_length() // 8), "little")
     for at in range(0, len(data), size):
-        hist[shift + at // size] += int.from_bytes(data[at : at + size], "little")
+        hist[at // size] += int.from_bytes(data[at : at + size], "little")
 
 
 def _separated(parts: tuple[Part, ...]) -> bool:
@@ -756,6 +758,8 @@ def identity_check(n: int) -> IdentityResult:
     """
     if n < 2 or n % 2:
         raise ContractError(f"identity needs a positive even n, got {n}")
+    if n > IDENTITY_MAX_N:
+        raise CapacityError(f"the identity check is capped at n <= {IDENTITY_MAX_N}, got {n}")
     lhs = sum(math.comb(n, i) * max(i, n - i) for i in range(n + 1) if i != n // 2)
     rhs = (1 << n) * n // 2
     return IdentityResult(lhs, rhs, lhs == rhs)

@@ -23,6 +23,7 @@ from .analysis import (
     search_optimal,
 )
 from .core import (
+    CapacityError,
     Color,
     ContractError,
     HatGameError,
@@ -41,6 +42,7 @@ from .strategies import (
 )
 
 STRATEGY_NAMES = ("pairing", "majority", "composite", "partial")
+BOUNDS_MAX_N = 4096  # bounds builds a plan for every even n up to --n: 4.2 s at 4096 (2 vCPU)
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,8 @@ def _cmd_bounds(config: RunConfig) -> Output:
         raise ContractError("bounds needs --n (upper end of the even range)")
     if config.n < 6 or config.n % 2:
         raise ContractError(f"bounds needs an even --n >= 6, got {config.n}")
+    if config.n > BOUNDS_MAX_N:
+        raise CapacityError(f"bounds is capped at --n <= {BOUNDS_MAX_N}, got {config.n}")
     rows = []
     all_ok = True
     for n in range(6, config.n + 1, 2):

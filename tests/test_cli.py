@@ -2,9 +2,11 @@
 
 import io
 import json
+import math
 
 import pytest
 
+from hatguess import cli
 from hatguess.cli import build_parser, config_from_namespace, main, run
 
 
@@ -228,3 +230,15 @@ def test_main_runs_quietly(capsys):
     assert main(["identity", "--n", "8", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["equal"] is True
+
+
+def test_bounds_and_identity_caps_exit_2_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the command started working above its cap")
+
+    monkeypatch.setattr(cli, "make_partition", no_work)
+    monkeypatch.setattr(math, "comb", no_work)
+    for command in ("bounds", "identity"):
+        code, out, err = invoke(command, "--n", "4098")
+        assert (code, out) == (2, "")
+        assert "capped" in err and "4096" in err

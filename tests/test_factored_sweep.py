@@ -9,6 +9,7 @@ witness, histogram, total and count.
 
 import concurrent.futures
 import random
+import re
 
 import pytest
 
@@ -32,6 +33,7 @@ from hatguess import (
     partial_profile,
 )
 from hatguess import analysis, strategies
+from hatguess.core import full_mask
 from hatguess.analysis import _Partial, _sweep_chunk
 
 
@@ -191,7 +193,7 @@ def test_oracle_catches_a_counted_mask_too_small(monkeypatch):
     oracle = _sweep_chunk((strategy, 3, 0, 8))
     assert oracle.worst_loss == 1
     with pytest.raises(ContractError, match="parts declaration does not hold"):
-        exhaustive_worst_case(strategy, 3)  # the cell check redraws the hats it claims not to read
+        exhaustive_worst_case(strategy, 3)  # the parts check, on a mask with hats 1 or 2 red
     monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
     with pytest.raises(ContractError, match="worst loss 2 .*parts declaration does not hold"):
         exhaustive_worst_case(strategy, 3)  # the witness re-check, on its own
@@ -226,8 +228,8 @@ def test_an_exact_reader_must_be_one_single_player():
 
 class PeekingSpectator(CountsTooLittle):
     """composite_strategy(5) whose bulk path makes the spectator, player 5,
-    call their own hat.  Their part is one cell, so moving cells changes
-    nothing and only the one-of-two-colors check can see it."""
+    call their own hat.  Their part agrees with its own table, so only the
+    one-of-two-colors check can see it."""
 
     def __init__(self):
         self.rule = composite_strategy(5).guess_rule
@@ -324,3 +326,64 @@ def test_cells_that_are_not_interchangeable_are_caught():
     strategy = StrategyProfile(6, PairsByName(), "pairs-by-name")
     with pytest.raises(ContractError, match="moving the cells"):
         exhaustive_worst_case(strategy, 6)
+
+
+class FlipsOnTheLastHat:
+    """Canonical pairing at n whose player n - 3 flips their guess when hat n
+    is red (and, with ``only_if_hat_1_blue``, hat 1 is blue).  Each pair is
+    declared a part that reads nothing, but pair (n - 3, n - 2) reads hat n."""
+
+    def __init__(self, n, only_if_hat_1_blue):
+        self.n = n
+        self.only_if_hat_1_blue = only_if_hat_1_blue
+        self.rule = strategies.PairingRule(canonical_pairing(n))
+        self.parts = self.rule.parts
+
+    def lies(self, is_red):
+        return is_red(self.n) and not (self.only_if_hat_1_blue and is_red(1))
+
+    def __call__(self, observer, view):
+        guess = self.rule(observer, view)
+        if observer == self.n - 3 and self.lies(lambda p: view.color_of(p) is Color.RED):
+            return guess.opposite()
+        return guess
+
+    def bulk_guesses(self, red_mask):
+        guesses = self.rule.bulk_guesses(red_mask)
+        if self.lies(lambda p: red_mask >> (p - 1) & 1):
+            guesses ^= 1 << (self.n - 4)
+        return guesses
+
+
+@pytest.mark.parametrize("only_if_hat_1_blue", [False, True])
+@pytest.mark.parametrize("n", [70, 100])
+def test_every_part_is_checked_against_its_table(n, only_if_hat_1_blue):
+    # pair (67, 68) is the 34th of 35 parts at n = 70
+    strategy = StrategyProfile(n, FlipsOnTheLastHat(n, only_if_hat_1_blue), "flips-on-last-hat")
+    everyone_but_1 = HatDistribution(n, full_mask(n) ^ 1)
+    assert evaluate(strategy, everyone_but_1).correct_count == n // 2 - 1  # the pairing's n/2, less one
+    part = re.escape(f"the part (({n - 3}, {n - 2}),)")
+    with pytest.raises(ContractError, match=f"{part} .*parts declaration does not hold"):
+        exhaustive_worst_case(strategy, n)
+
+
+def test_the_parts_check_makes_one_bulk_call_per_seeded_mask(monkeypatch):
+    calls = []
+    strategy = composite_strategy(21)
+    rule = strategy.guess_rule
+    bulk = rule.bulk_guesses
+    rule.bulk_guesses = lambda red_mask: calls.append(red_mask) or bulk(red_mask)
+    exhaustive_worst_case(strategy, 21)
+    checked = len(calls)
+    calls.clear()
+    monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
+    exhaustive_worst_case(strategy, 21)
+    assert checked - len(calls) == 32
+    assert checked <= 299
+
+
+@pytest.mark.parametrize("kinds", [2, 4])
+def test_comp_index_inverts_compositions(kinds):
+    for cells in range(13):
+        comps = [comp for comp, _ in analysis._compositions(cells, kinds)]
+        assert [analysis._comp_index(list(comp)) for comp in comps] == list(range(len(comps)))
