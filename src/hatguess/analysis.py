@@ -14,7 +14,10 @@ then combines the parts: a min-plus DP over R gives the worst loss and
 its witness, and products of polynomials with multinomial weights give
 the exact histogram.  The one player who may read R exactly, the odd-n
 spectator, is not counted in R and is right in exactly one of their two
-colors, so they join the histogram as a factor (1 + y).  Every run checks
+colors, so they join the histogram as a factor (1 + y).  The witness, the
+bit sweep's earliest worst distribution, is built once per residue of R
+that reaches the worst loss, fixing the players from the top, each red
+while some worst case still extends the hats fixed so far.  Every run checks
 on seeded masks that each part scores what its table says, checks that
 spectator at every R, re-scores the witness through the bulk rule and per
 player, and requires the histogram to hold 2^n distributions and
@@ -46,6 +49,7 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from operator import sub
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -238,13 +242,6 @@ def _compositions(cells: int, kinds: int):
         first = first * a // (cells - a + 1)
 
 
-def _kind_reds(cell: tuple[int, ...], kind: int) -> int:
-    """The red hats of ``cell`` when it has type ``kind`` (bit set = blue,
-    the first player of the cell in the highest bit)."""
-    last = len(cell) - 1
-    return sum(1 << (p - 1) for i, p in enumerate(cell) if not kind >> (last - i) & 1)
-
-
 class _PartTable(NamedTuple):
     """One part scored through the bulk rule, once per composition of its
     cell types and per value v of the red total R it reads: v = R mod k for
@@ -258,7 +255,6 @@ class _PartTable(NamedTuple):
     cor: list[array]  # cor[v][i]: correct guesses inside the part
     best: list[list[int]]  # best[v][c]: the fewest correct guesses with c red hats
     weights: list[dict[tuple[int, int], int]]  # weights[v][(c, correct)]: arrangements
-    tops: list[tuple[tuple[int, int], ...]]  # cells from the top: (type, red mask), earliest first
 
     def read(self, rho: int) -> int:
         """v for the residue rho of R mod K (a part that does not read R exactly)."""
@@ -318,11 +314,7 @@ def _part_table(bulk, r_mask: int, part: Part) -> _PartTable:
                     best[v][c] = k
                 w = weights[v]
                 w[c, k] = w.get((c, k), 0) + weight
-    tops = [
-        tuple(sorted(((k, _kind_reds(cell, k)) for k in range(kinds)), key=lambda e: -e[1]))
-        for cell in sorted(cells, key=max, reverse=True)
-    ]
-    return _PartTable(part, mask, reds, cor, best, weights, tops)
+    return _PartTable(part, mask, reds, cor, best, weights)
 
 
 def _comp_index(comp: list[int]) -> int:
@@ -375,27 +367,6 @@ def _min_plus(old: list[int], best: list[int]) -> list[int]:
     return new
 
 
-def _earliest_arrangement(
-    table: _PartTable, comps: list[tuple[int, ...]]
-) -> tuple[tuple[int, ...], int]:
-    """The arrangement with the smallest sweep index among all arrangements of
-    the compositions ``comps``: from the top cell down, each cell takes the
-    type that keeps the most red hats highest (RR, BR, RB, BB for a pair with
-    x < y; R, B for a single player) among those some composition still
-    allows.  Returns (composition, red mask)."""
-    used = [0] * len(comps[0])
-    red = 0
-    for choices in table.tops:
-        for kind, bits in choices:
-            keep = [comp for comp in comps if comp[kind] > used[kind]]
-            if keep:
-                break
-        comps = keep
-        used[kind] += 1
-        red |= bits
-    return tuple(used), red
-
-
 def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> _Partial:
     """The exhaustive sweep of a rule with ``parts``, over orbits.
 
@@ -412,8 +383,7 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
     part reads its hat and it is right in exactly one of its two colors
     (checked for every R), so it multiplies the histogram by (1 + y).  The
     witness is the bit sweep's: the smallest index among the worst cases,
-    built top-down part by part (parts by their highest player), each part
-    taking the earliest arrangement that can still reach the worst loss.
+    built by ``_witness`` once per residue that reaches the worst loss.
     It is re-scored through the bulk rule and per player, and the histogram
     must hold 2^n distributions and n * 2^(n-1) correct guesses.
     """
@@ -435,7 +405,7 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
     width = 8 * size
     hist = [0] * (n + 1)
     chains = []
-    ends = []  # (loss, rho, R, the exact reader's composition)
+    losses = []  # losses[rho]: the worst loss whose R has residue rho
     for rho in range(big_k):
         chain = [[0] + [_INF] * r_mask.bit_count()]
         acc = [1] + [0] * (big_k - 1)
@@ -451,22 +421,16 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
             acc = new
         chain.reverse()  # chain[j]: the fewest correct guesses of others[j:]
         chains.append(chain)
-        for r, fewest in enumerate(chain[0]):
-            if fewest >= _INF or r % big_k != rho:
-                continue
-            if exact is None:
-                ends.append((max(r, n - r) - fewest, rho, None, None))
-                continue
-            for i, c in enumerate(exact.reds):
-                ends.append((max(r + c, n - r - c) - fewest - exact.cor[r][i], rho, r, i))
+        fewest = chain[0]
+        reader = _reader(exact, rho, big_k, n, len(fewest))
+        losses.append(max((-k - fewest[r] for _, r, k in reader if fewest[r] < _INF), default=-1))
         _add_slots(hist, acc[rho], size)
     if exact is not None:
         hist = [a + b for a, b in zip(hist, [0] + hist)]  # times (1 + y)
-    worst = max(e[0] for e in ends)
-    find = _witness if _separated(parts) else _witness_by_player
+    worst = max(losses)
     red, cor = min(
-        (find(others, chains[rho], rho, big_k, n, worst, exact, r, i)
-         for rho, r, i in {e[1:] for e in ends if e[0] == worst}),
+        (_witness(others, chains[rho], rho, big_k, n, worst, exact)
+         for rho, loss in enumerate(losses) if loss == worst),
         key=lambda found: full ^ found[0],  # the bit sweep's index of the distribution
     )
     r = red.bit_count()
@@ -497,141 +461,137 @@ def _add_slots(hist: list[int], packed: int, size: int) -> None:
         hist[at // size] += int.from_bytes(data[at : at + size], "little")
 
 
-def _separated(parts: tuple[Part, ...]) -> bool:
-    """Whether no two parts, and no two cells of one part, interleave in the
-    player order, so that the earliest arrangement can be built part by part
-    and cell by cell."""
-
-    def disjoint(groups) -> bool:
-        spans = sorted((min(group), max(group)) for group in groups)
-        return all(high < low for (_, high), (low, _) in zip(spans, spans[1:]))
-
-    return disjoint([[p for cell in part.cells for p in cell] for part in parts]) and all(
-        disjoint(part.cells) for part in parts
-    )
+def _subset_sums(comp: tuple[int, ...]) -> tuple[int, ...]:
+    """sums[T]: the cells of composition ``comp`` whose type lies in the set T
+    (bit kind set)."""
+    sums = [0]
+    for count in comp:
+        sums += [s + count for s in sums]
+    return tuple(sums)
 
 
-def _witness(others, chain, rho, big_k, n, worst, exact, base, i) -> tuple[int, int]:
-    """The earliest worst case whose R has residue rho, with an exact reader
-    also the earliest with R = ``base`` and the exact reader in composition
-    i: (red mask, correct).  Parts and cells must not interleave
-    (``_separated``)."""
+def _reader(
+    exact: _PartTable | None, rho: int, big_k: int, n: int, size: int
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """The options (subset sums, R, k) of the part that reads R exactly, at
+    every R with residue rho, where k is its correct guesses less the target
+    max{r, b}: a distribution's loss is minus the sum of every part's k.
+    With no exact reader, one option per R, with no cells."""
     if exact is None:
-        red = extra_reds = extra_cor = 0
-    else:
-        extra_reds, extra_cor = exact.reds[i], exact.cor[base][i]
-        red = _earliest_arrangement(exact, [list(exact.comps())[i][0]])[1]
-    reds = cor = 0
-    for j, t in enumerate(others):
-        after = chain[j + 1]
-        allow = []  # the most correct guesses the part may have with c red hats
-        for c in range(t.mask.bit_count() + 1):
-            if exact is None:
-                rests = range((rho - reds - c) % big_k, len(after), big_k)
-            else:
-                rest = base - reds - c
-                rests = range(rest, min(rest + 1, len(after))) if rest >= 0 else ()
-            most = -_INF
-            for rest in rests:
-                if after[rest] < _INF:
-                    r = reds + rest + c + extra_reds
-                    most = max(most, max(r, n - r) - after[rest])
-            allow.append(most - cor - extra_cor - worst)
-        v = t.read(rho)
-        fits = {
-            comp: (c, k) for (comp, _), c, k in zip(t.comps(), t.reds, t.cor[v]) if k <= allow[c]
-        }
-        comp, part_red = _earliest_arrangement(t, list(fits))
-        c, k = fits[comp]
-        reds += c
-        cor += k
-        red |= part_red
-    return red, cor + extra_cor
+        return [((0,), r, -max(r, n - r)) for r in range(rho, size, big_k)]
+    colors = [(_subset_sums(comp), c) for (comp, _), c in zip(exact.comps(), exact.reds)]
+    return [
+        (sums, r, exact.cor[r][i] - max(r + c, n - r - c))
+        for r in range(rho, size, big_k)
+        for i, (sums, c) in enumerate(colors)
+    ]
 
 
-def _witness_by_player(others, chain, rho, big_k, n, worst, exact, base, i) -> tuple[int, int]:
-    """``_witness`` for layouts whose parts or cells interleave.  The players
-    are fixed from the top, each red if some worst case still extends the hats
-    fixed so far.  A composition of a part fits its fixed hats when Hall's
-    condition holds for every set of cell types; the parts not yet touched are
-    ``others[touched:]``, whose fewest correct guesses ``chain`` already holds."""
-    tables = others + ([exact] if exact else [])
-    part_of = {p: j for j, t in enumerate(tables) for cell in t.part.cells for p in cell}
-    fixed: dict[int, bool] = {}  # player -> wears red
+def _witness(others, chain, rho, big_k, n, worst, exact) -> tuple[int, int]:
+    """The earliest worst case whose R has residue rho: (red mask, correct).
 
-    def fitting(j: int, options: list) -> list[tuple[tuple[int, ...], int, int]]:
-        """The (composition, red hats, correct) in ``options`` that fit the fixed hats of part j."""
-        cells = tables[j].part.cells
-        arity = len(cells[0])
-        kinds = 1 << arity
-        within = [0] * (1 << kinds)  # within[T]: cells whose possible types all lie in T
-        for cell in cells:
-            can = sum(
-                1 << kind
-                for kind in range(kinds)
-                if all(
-                    fixed.get(p, red) == red
-                    for role, p in enumerate(cell)
-                    for red in [not kind >> (arity - 1 - role) & 1]
-                )
-            )
-            for types in range(1 << kinds):
-                within[types] += can & ~types == 0
-        return [
-            (comp, c, cor)
-            for comp, c, cor in options
-            if all(
-                within[types] <= sum(count for kind, count in enumerate(comp) if types >> kind & 1)
-                for types in range(1 << kinds)
-            )
-        ]
+    The players are fixed from n down to 1, each red if some worst case
+    still extends the hats fixed so far.  Each part keeps its options
+    (subset sums of its composition, red hats c, correct k) that fit its
+    fixed hats; the last part is the reader of R (``_reader``), with R in
+    place of c.  The parts ``others[touched:]`` have no hat fixed and count
+    through ``chain[touched]``.  An option is kept while k is at most
+    room[c]: the most correct guesses the part may have with c red hats
+    while everything else can still reach ``worst``, recomputed only when
+    another part's options change.  A composition fits the fixed hats when
+    Hall's condition holds: for every set T of cell types, the cells that
+    can only take types in T are at most the composition's cells in T.
+    """
+    size = len(chain[0])
+    options = [None] * len(others) + [_reader(exact, rho, big_k, n, size)]
+    place = {}  # player -> (part, cell, the cell's types in which the player wears red)
+    sets = []  # sets[j][e]: the types (bit kind set) cell e of part j can still take
+    counts = []  # counts[j][types]: the cells of part j that can take exactly the types ``types``
+    for j, t in enumerate(others + [exact] if exact else others):
+        arity = len(t.part.cells[0])
+        sets.append([(1 << (1 << arity)) - 1] * len(t.part.cells))
+        counts.append({(1 << (1 << arity)) - 1: len(t.part.cells)})
+        # red_in[b]: the types whose kind bit b is clear (bit set = blue, the
+        # first player of a cell in the highest bit), where that player wears red
+        kinds = range(1 << arity)
+        red_in = [sum(1 << kind for kind in kinds if not kind >> b & 1) for b in range(arity)]
+        for e, cell in enumerate(t.part.cells):
+            for b, p in enumerate(reversed(cell)):
+                place[p] = j, e, red_in[b]
 
-    def extends(fits: list, touched: int) -> bool:
-        fewest_of = chain[touched]
-        reds = extra_reds = extra_cor = 0  # of the parts down to one option, and the exact reader
-        for t, options in zip(others[:touched], fits):
-            if len(options) == 1:
-                reds += options[0][1]
-                extra_cor += options[0][2]
+    def room(j: int) -> list[int]:
+        fewest, reds, cor = chain[touched], 0, 0  # every part but j and the reader
+        for i, opts in enumerate(options[:touched]):
+            if i == j:
                 continue
-            best = [_INF] * (t.mask.bit_count() + 1)
-            for _, c, cor in options:
-                best[c] = min(best[c], cor)
-            fewest_of = _min_plus(fewest_of, best)
-        if exact is not None:
-            if not fits[-1]:
-                return False
-            extra_reds = fits[-1][0][1]
-            extra_cor += fits[-1][0][2]
-        for rest, fewest in enumerate(fewest_of, start=reds):
-            if fewest < _INF and (rest == base if exact is not None else rest % big_k == rho):
-                r = rest + extra_reds
-                if max(r, n - r) - fewest - extra_cor >= worst:
-                    return True
-        return False
-
-    fits = []
-    for j, t in enumerate(tables):
-        cors = t.cor[base if t is exact else t.read(rho)]
-        options = [
-            (comp, c, cor)
-            for at, ((comp, _), c, cor) in enumerate(zip(t.comps(), t.reds, cors))
-            if cor != _UNREACHABLE and (t is not exact or at == i)
+            if len(opts) == 1:
+                reds, cor = reds + opts[0][1], cor + opts[0][2]
+                continue
+            best = [_INF] * (others[i].mask.bit_count() + 1)
+            for _, c, k in opts:
+                best[c] = min(best[c], k)
+            fewest = _min_plus(fewest, best)
+        if j == len(others):  # the reader, by R: near -_INF where R is unreachable
+            return [-fewest[r - reds] - cor - worst if r >= reds else -_INF for r in range(size)]
+        most = [-_INF] * size  # the reader's most -k at each R
+        for _, r, k in options[-1]:
+            most[r] = max(most[r], -k)
+        return [
+            max(map(sub, most[c + reds :], fewest), default=-_INF) - cor - worst
+            for c in range(others[j].mask.bit_count() + 1)
         ]
-        fits.append(fitting(j, options))
-    touched = 0
+
+    def narrow(fits: list, have: dict[int, int], old: int, new: int) -> list:
+        """The options in ``fits`` that still fit once a cell narrows from
+        ``old`` to ``new`` (``have``: the counts after).  Only the sets T that
+        contain ``new`` but not ``old`` gain a cell, and of those only the
+        unions of overlapping type sets matter."""
+        unions, todo = set(), [new]
+        while todo:
+            types = todo.pop()
+            if types not in unions and old & ~types:
+                unions.add(types)
+                todo += [types | s for s, m in have.items() if m and s & types]
+        for types in unions:
+            within = sum(m for s, m in have.items() if s & ~types == 0)
+            fits = [o for o in fits if o[0][types] >= within]
+        return fits
+
+    red = touched = 0
+    rooms = {}
     for p in range(n, 0, -1):
-        j = part_of[p]
-        while touched < len(others) and others[touched].mask >> (p - 1):
-            touched += 1  # others are sorted by their highest player
-        before = fits[j]
-        fixed[p] = True
-        fits[j] = fitting(j, before)
-        if not extends(fits, touched):
-            fixed[p] = False
-            fits[j] = fitting(j, before)
-    red = sum(1 << (p - 1) for p, wears_red in fixed.items() if wears_red)
-    return red, sum(options[0][2] for options in fits)
+        j, e, red_types = place[p]
+        if j not in rooms:
+            if j == touched < len(others):  # p is the top of others[j], not the reader
+                touched += 1
+            bound = rooms[j] = room(j)
+            if options[j] is None:
+                t = others[j]
+                options[j] = [
+                    (_subset_sums(comp), c, k)
+                    for (comp, _), c, k in zip(t.comps(), t.reds, t.cor[t.read(rho)])
+                    if k <= bound[c]
+                ]
+            else:
+                options[j] = [o for o in options[j] if o[2] <= bound[o[1]]]
+        old = sets[j][e]
+        have = counts[j]
+        have[old] -= 1
+        sets[j][e] = new = old & red_types
+        have[new] = have.get(new, 0) + 1
+        kept = narrow(options[j], have, old, new)
+        if not kept:  # every option fits the other color: each fits the cell's old types
+            have[new] -= 1
+            sets[j][e] = new = old & ~red_types
+            have[new] = have.get(new, 0) + 1
+        elif len(kept) < len(options[j]):
+            rooms = {j: rooms[j]}
+            options[j] = kept
+        red |= bool(kept) << (p - 1)
+    r = sum(opts[0][1] for opts in options[:-1])
+    k = sum(opts[0][2] for opts in options[:-1]) + next(k for _, at, k in options[-1] if at == r)
+    total = red.bit_count()
+    return red, max(total, n - total) + k
 
 
 def _ranges(count: int, workers: int) -> list[tuple[int, int]]:

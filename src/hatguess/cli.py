@@ -42,7 +42,8 @@ from .strategies import (
 )
 
 STRATEGY_NAMES = ("pairing", "majority", "composite", "partial")
-BOUNDS_MAX_N = 4096  # bounds builds a plan for every even n up to --n: 4.2 s at 4096 (2 vCPU)
+MAX_N = 4096  # bounds, plan and sample --n; bounds builds a plan for every even n: 4.2 s at 4096
+MAX_TRIALS = 10**6  # a uniform trial takes 16-20 us at n = 4096 (2 vCPU): ~20 s at the caps
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,11 @@ class RunConfig:
 
 def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _check_cap(command: str, option: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise CapacityError(f"{command} is capped at {option} <= {cap}, got {value}")
 
 
 def _parse_block(spec_text: str) -> frozenset[int]:
@@ -156,7 +162,7 @@ def _cmd_sweep(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("sweep needs --n")
     strategy = _build_strategy(config, config.n)
-    report = exhaustive_worst_case(strategy, config.n, workers=config.workers)
+    report = exhaustive_worst_case(strategy, config.n)
     bound, theorem, checked = _checked_bound(strategy.name, config.n)
     ok = report.worst_loss <= checked
     record = {
@@ -192,8 +198,7 @@ def _cmd_bounds(config: RunConfig) -> Output:
         raise ContractError("bounds needs --n (upper end of the even range)")
     if config.n < 6 or config.n % 2:
         raise ContractError(f"bounds needs an even --n >= 6, got {config.n}")
-    if config.n > BOUNDS_MAX_N:
-        raise CapacityError(f"bounds is capped at --n <= {BOUNDS_MAX_N}, got {config.n}")
+    _check_cap("bounds", "--n", config.n, MAX_N)
     rows = []
     all_ok = True
     for n in range(6, config.n + 1, 2):
@@ -232,6 +237,8 @@ def _cmd_search_optimal(config: RunConfig) -> Output:
 def _cmd_sample(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("sample needs --n")
+    _check_cap("sample", "--n", config.n, MAX_N)
+    _check_cap("sample", "--trials", config.trials, MAX_TRIALS)
     strategy = _build_strategy(config, config.n)
     report = monte_carlo(
         strategy,
@@ -260,6 +267,7 @@ def _cmd_sample(config: RunConfig) -> Output:
 def _cmd_plan(config: RunConfig) -> Output:
     if config.n is None:
         raise ContractError("plan needs --n")
+    _check_cap("plan", "--n", config.n, MAX_N)
     plan = make_partition(config.n)
 
     def table() -> list[tuple]:
@@ -358,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exhaustive worst-case report over all 2^n distributions")
     _add_strategy_options(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_format(p)
 
     p = sub.add_parser("identity", help="exact binomial-sum identity check")

@@ -242,3 +242,20 @@ def test_bounds_and_identity_caps_exit_2_before_any_work(monkeypatch):
         code, out, err = invoke(command, "--n", "4098")
         assert (code, out) == (2, "")
         assert "capped" in err and "4096" in err
+
+
+def test_plan_and_sample_caps_exit_2_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started working above its cap")
+
+    monkeypatch.setattr(cli, "make_partition", no_work)
+    monkeypatch.setattr(cli, "monte_carlo", no_work)
+    sample = ("sample", "--strategy", "composite")
+    for argv, cap in [
+        (("plan", "--n", "4098"), "--n <= 4096"),
+        ((*sample, "--n", "4098"), "--n <= 4096"),
+        ((*sample, "--n", "12", "--trials", "1000001"), "--trials <= 1000000"),
+    ]:
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert "capped" in err and cap in err

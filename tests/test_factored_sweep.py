@@ -22,6 +22,7 @@ from hatguess import (
     PartialStrategyParams,
     PartitionPlan,
     StrategyProfile,
+    VisibleView,
     canonical_pairing,
     composite_strategy,
     evaluate,
@@ -89,16 +90,25 @@ def test_hand_built_plans(monkeypatch, n, k, spectator):
     assert_orbit_exact(monkeypatch, strategy, n + spectator)
 
 
-@pytest.mark.parametrize("where", ["bottom", "middle", "top"])
-@pytest.mark.parametrize("n", [10, 12, 14])
-@pytest.mark.parametrize("size,blue_max,red_min", [(4, 0, 2), (6, 1, 4)])
-def test_partial_profile(monkeypatch, n, where, size, blue_max, red_min):
-    start = {"bottom": 1, "middle": 2 * ((n - size) // 4) + 1, "top": n - size + 1}[where]
-    members = frozenset(range(start, start + size))
+def partial_block(n, members, blue_max, red_min):
+    members = frozenset(members)
     params = PartialStrategyParams(
         members, blue_max, red_min, canonical_pairing(n).restricted_to(members)
     )
-    assert_orbit_exact(monkeypatch, partial_profile(params, n), n)
+    return partial_profile(params, n)
+
+
+@pytest.mark.parametrize("where", ["bottom", "middle", "top", "split"])
+@pytest.mark.parametrize("n", [10, 12, 14])
+@pytest.mark.parametrize("size,blue_max,red_min", [(4, 0, 2), (6, 1, 4)])
+def test_partial_profile(monkeypatch, n, where, size, blue_max, red_min):
+    if where == "split":  # half the block's pairs at each end, as --block 1,2,n-1,n places them
+        low = size // 4 * 2
+        members = [*range(1, low + 1), *range(n - size + low + 1, n + 1)]
+    else:
+        start = {"bottom": 1, "middle": 2 * ((n - size) // 4) + 1, "top": n - size + 1}[where]
+        members = range(start, start + size)
+    assert_orbit_exact(monkeypatch, partial_block(n, members, blue_max, red_min), n)
 
 
 def chain_pairing(n):
@@ -112,6 +122,40 @@ def test_pairs_across_every_boundary_split_at_zero(monkeypatch, n):
     pairs = strategy.guess_rule.pairing.pairs
     assert not any(all((x <= m) == (y <= m) for x, y in pairs) for m in range(1, n))
     assert_orbit_exact(monkeypatch, strategy, n)
+
+
+def test_chain_pairing_past_the_bit_sweep():
+    report = exhaustive_worst_case(pairing_strategy(chain_pairing(60)), 60)
+    assert report.worst_loss == 30
+    assert report.witness.red_mask == full_mask(60)  # all red, the bit sweep's first distribution
+    assert report.histogram == {30: 1 << 60}
+
+
+def test_split_partial_block_past_the_bit_sweep():
+    # hatguess sweep --strategy partial --block 1,2,39,40 --a 0 --b 2 --n 40
+    n = 40
+    strategy = partial_block(n, {1, 2, 39, 40}, 0, 2)
+    assert strategy.guess_rule.parts[0].cells == ((1, 2), (39, 40))  # the block, around the pairs
+    report = exhaustive_worst_case(strategy, n)
+    record = evaluate(strategy, report.witness)  # the witness, re-scored per player
+    target = max(report.witness.red_count, report.witness.blue_count)
+    assert target - record.correct_count == report.worst_loss
+    assert report.evaluated == sum(report.histogram.values()) == 1 << n
+    assert report.total_correct == n << (n - 1)  # the averaging identity
+
+
+def test_the_witness_is_built_once_per_residue_that_reaches_the_worst_loss(monkeypatch):
+    builds = []
+    witness = analysis._witness
+    monkeypatch.setattr(analysis, "_witness", lambda *args: builds.append(args[2]) or witness(*args))
+    exhaustive_worst_case(composite_strategy(21), 21)
+    assert len(builds) == len(set(builds)) <= 2  # K = 2 residues of R
+
+
+def interleave(groups):
+    """Whether the spans, lowest to highest player, of some two groups overlap."""
+    spans = sorted((min(group), max(group)) for group in groups)
+    return any(low < high for (_, high), (low, _) in zip(spans, spans[1:]))
 
 
 def shuffled_plan(n, k, seed):
@@ -132,7 +176,10 @@ def test_interleaved_parts_and_cells(monkeypatch, n, k, seed, spectator):
     plan = shuffled_plan(n, k, seed)
     monkeypatch.setattr(strategies, "make_partition", lambda _n: plan)
     strategy = composite_strategy(n + spectator)
-    assert not analysis._separated(strategy.guess_rule.parts)
+    parts = strategy.guess_rule.parts
+    assert interleave([sum(part.cells, ()) for part in parts]) or any(
+        interleave(part.cells) for part in parts
+    )
     assert_orbit_exact(monkeypatch, strategy, n + spectator)
 
 
@@ -243,6 +290,51 @@ def test_a_spectator_who_peeks_is_caught():
     strategy = StrategyProfile(5, PeekingSpectator(), "peeking-spectator")
     with pytest.raises(ContractError, match="player 5 reads R exactly .*their own hat"):
         exhaustive_worst_case(strategy, 5)
+
+
+class SpectatorAt:
+    """A rule on n players whose exact reader is player n, relabeled so that
+    the reader is player s and players s..n-1 move up by one."""
+
+    def __init__(self, rule, n, s):
+        self.rule, self.n, self.s = rule, n, s
+        self.parts = tuple(
+            Part(tuple(tuple(map(self.outer, cell)) for cell in part.cells), part.modulus)
+            for part in rule.parts
+        )
+
+    def outer(self, p):
+        return self.s if p == self.n else p + (p >= self.s)
+
+    def inner(self, p):
+        return self.n if p == self.s else p - (p > self.s)
+
+    def to_inner(self, mask):
+        s, n = self.s, self.n
+        return mask & full_mask(s - 1) | (mask >> s) << (s - 1) | (mask >> (s - 1) & 1) << (n - 1)
+
+    def to_outer(self, mask):
+        s, n = self.s, self.n
+        return mask & full_mask(s - 1) | (mask >> (s - 1) & full_mask(n - s)) << s | (
+            mask >> (n - 1) & 1
+        ) << (s - 1)
+
+    def __call__(self, observer, view):
+        hats = HatDistribution(self.n, self.to_inner(view.distribution.red_mask))
+        return self.rule(self.inner(observer), VisibleView(hats, self.inner(observer)))
+
+    def bulk_guesses(self, red_mask):
+        return self.to_outer(self.rule.bulk_guesses(self.to_inner(red_mask)))
+
+
+@pytest.mark.parametrize("n", [3, 7, 13])
+def test_the_spectator_may_sit_below_every_other_part(monkeypatch, n):
+    """The witness reaches the exact reader after every other part when the
+    reader is player 1 (at n = 3: the reader (1,) beside the pair (2, 3))."""
+    for s in range(1, n + 1):
+        rule = SpectatorAt(composite_strategy(n).guess_rule, n, s)
+        assert rule.parts[-1] == Part(((s,),), 0)
+        assert_orbit_exact(monkeypatch, StrategyProfile(n, rule, "moved-spectator"), n)
 
 
 @pytest.mark.parametrize("n", [35, 129, 257])

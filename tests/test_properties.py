@@ -1,8 +1,9 @@
 """Property tests (Hypothesis, MacIver et al., JOSS 2019) on random valid
 plans, with k >= 2 blocks of large/small sizes and players shuffled across
 blocks, and on their odd-n spectator: the bulk bit path of the
-block-threshold rule equals the per-player path, and neither path lets a
-player's guess depend on their own hat."""
+block-threshold rule equals the per-player path, neither path lets a
+player's guess depend on their own hat, and the orbit sweep equals the bit
+sweep where parts and cells interleave."""
 
 import pytest
 
@@ -17,10 +18,17 @@ from hatguess import (  # noqa: E402
     PartitionPlan,
     StrategyProfile,
     evaluate,
+    exhaustive_worst_case,
     verify_no_peek,
 )
+from hatguess import analysis  # noqa: E402
 from hatguess.core import mask_of  # noqa: E402
-from hatguess.strategies import BlockThresholdRule, SpectatorCompositeRule  # noqa: E402
+from hatguess.strategies import (  # noqa: E402
+    BlockThresholdRule,
+    PairingRule,
+    SpectatorCompositeRule,
+)
+from test_factored_sweep import SpectatorAt  # noqa: E402
 
 MAX_N = 60
 
@@ -84,3 +92,54 @@ def test_no_player_reads_their_own_hat_on_random_plans(plan_and_mask):
     for p in range(n + 1):
         assert (odd.bulk(mask ^ 1 << p) ^ guesses) >> p & 1 == 0
     assert verify_no_peek(odd, HatDistribution(n + 1, mask)) == []
+
+
+@st.composite
+def scattered_rules(draw):
+    """A composite rule on a random plan whose pairs and blocks are scattered
+    over the players, or the pairing of those random pairs, with or without
+    the odd-n spectator, who sits at a random player: at most 12 players in
+    all."""
+    spectator = draw(st.booleans())
+    k = draw(st.integers(2, 3))
+    small = draw(st.sampled_from([2, 4]))
+    big = draw(st.sampled_from([small, small + 2]))
+    large_blocks = draw(st.integers(1, k))
+    sizes = [big] * large_blocks + [small] * (k - large_blocks)
+    hypothesis.assume(sum(sizes) + spectator <= 12)
+    n = sum(sizes)
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = tuple(tuple(order[j : j + 2]) for j in range(0, n, 2))
+    if draw(st.booleans()):
+        rule = PairingRule(Pairing(pairs))
+    else:
+        blocks, start = [], 0
+        for size in sizes:
+            blocks.append(order[start : start + size])
+            start += size
+        plan = PartitionPlan(n, k, large_blocks, tuple(map(tuple, blocks)), Pairing(pairs))
+        rule = BlockThresholdRule(plan.pairing, plan.blocks, plan)
+    if spectator:
+        seat = draw(st.integers(1, n + 1))
+        moved = SpectatorAt(SpectatorCompositeRule(n + 1, rule), n + 1, seat)
+        return StrategyProfile(n + 1, moved, "composite")
+    return StrategyProfile(n, rule, "composite")
+
+
+def refuse_bit_sweep(payload):
+    raise AssertionError("the bit sweep ran where the orbit sweep should")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(scattered_rules())
+def test_orbit_sweep_equals_the_bit_sweep_on_scattered_layouts(strategy):
+    """All six fields, the earliest witness among them."""
+    n = strategy.n
+    want = analysis._sweep_chunk((strategy, n, 0, 1 << n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_sweep_chunk", refuse_bit_sweep)
+        report = exhaustive_worst_case(strategy, n)
+    histogram = [report.histogram.get(c, 0) for c in range(n + 1)]
+    got = (report.min_correct, report.worst_loss, report.witness.red_mask, histogram,
+           report.total_correct, report.evaluated)
+    assert got == tuple(want)

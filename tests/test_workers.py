@@ -74,7 +74,7 @@ def test_sweep_and_sample_reject_fewer_than_one_worker(workers):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--strategy", "composite", "--n", "12", "--workers", "0"],
+        ["sample", "--strategy", "composite", "--n", "12", "--trials", "10", "--workers", "0"],
         ["sample", "--strategy", "composite", "--n", "12", "--trials", "10", "--workers", "-3"],
     ],
 )
@@ -83,6 +83,13 @@ def test_cli_exits_2_on_fewer_than_one_worker(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least one worker" in captured.err
+
+
+def test_sweep_takes_no_workers_option(capsys):
+    """Every rule the CLI builds is swept over orbits in one process, so the
+    option would be ignored; it is rejected instead."""
+    assert main(["sweep", "--strategy", "composite", "--n", "12", "--workers", "2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 class ContextRecordingPool(RecordingPool):
