@@ -182,25 +182,26 @@ def _check_parts(strategy: StrategyProfile, n: int) -> tuple[Part, ...]:
     1..n, a part's cells are all pairs or all single players, and a part that
     reads R exactly is one single player, of whom there is at most one."""
     parts = strategy.guess_rule.parts  # type: ignore[attr-defined]
-    union = exact = 0
+    seen = bytearray(n + 1)
+    covered = exact = 0
     for part in parts:
         if part.modulus < 0 or {len(cell) for cell in part.cells} not in ({1}, {2}):
             raise ContractError(
                 f"{strategy.name}: a part needs a modulus >= 0 and cells that are "
                 f"all pairs or all single players"
             )
-        mask = 0
-        for p in (p for cell in part.cells for p in cell):
-            if not 1 <= p <= n or (1 << (p - 1)) & (mask | union):
+        players = [p for cell in part.cells for p in cell]
+        for p in players:
+            if not 1 <= p <= n or seen[p]:
                 raise ContractError(f"{strategy.name}: parts overlap or exceed n={n}")
-            mask |= 1 << (p - 1)
-        if part.modulus == 0 and mask.bit_count() != 1:
+            seen[p] = 1
+        if part.modulus == 0 and len(players) != 1:
             raise ContractError(
                 f"{strategy.name}: a part that reads R exactly must be one single player"
             )
-        union |= mask
+        covered += len(players)
         exact += part.modulus == 0
-    if union != full_mask(n):
+    if covered != n:
         raise ContractError(f"{strategy.name}: parts must cover exactly the players 1..{n}")
     if exact > 1:
         raise ContractError(f"{strategy.name}: at most one part may read R exactly")

@@ -1,6 +1,12 @@
 """Command-line surface: evaluate strategies, sweep and sample worst cases,
 and run the exact identity and bound checks.
 
+The parser is the only description of the commands: each subparser declares
+its options and defaults and sets ``handler``, the function that turns the
+parsed namespace into an exit code, a record and a table.  A sweep is judged
+against the structural bound of the plan its built rule plays, if it plays
+one, and otherwise, like a sample, against the theorem.
+
 Exit codes: 0 when the command ran and every checked guarantee held,
 1 when a mathematical guarantee check failed, 2 on usage errors
 (malformed distributions, inapplicable options, capacity limits).
@@ -12,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .analysis import (
@@ -42,26 +47,8 @@ from .strategies import (
 )
 
 STRATEGY_NAMES = ("pairing", "majority", "composite", "partial")
-MAX_N = 4096  # bounds, plan and sample --n; bounds builds a plan for every even n: 4.2 s at 4096
+MAX_N = 4096  # --n of bounds, plan, sample and sweep; bounds plans every even n: 4.2 s at 4096
 MAX_TRIALS = 10**6  # a uniform trial takes 16-20 us at n = 4096 (2 vCPU): ~20 s at the caps
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    # field names are the parser's dests, so a parsed namespace fills it as is
-    command: str
-    strategy: str | None = None
-    n: int | None = None
-    omega: str | None = None
-    tie_break: str | None = None
-    blue_max: int | None = None  # --a
-    red_min: int | None = None   # --b
-    block: str | None = None
-    trials: int = 10_000
-    seed: int = 0
-    red_count: str | None = None
-    workers: int = 1
-    fmt: str = "text"
 
 
 def _fmt_float(x: float) -> str:
@@ -88,28 +75,28 @@ def _parse_block(spec_text: str) -> frozenset[int]:
         ) from None
 
 
-def _build_strategy(config: RunConfig, n: int):
-    name = config.strategy
-    if name != "majority" and config.tie_break is not None:
+def _build_strategy(args: argparse.Namespace, n: int):
+    name = args.strategy
+    if name != "majority" and args.tie_break is not None:
         raise ContractError("--tie-break applies only to the majority strategy")
     if name != "partial" and (
-        config.blue_max is not None or config.red_min is not None or config.block is not None
+        args.blue_max is not None or args.red_min is not None or args.block is not None
     ):
         raise ContractError("--a, --b and --block apply only to the partial strategy")
     if name == "pairing":
         return pairing_strategy(canonical_pairing(n))
     if name == "majority":
-        tie = Color(config.tie_break) if config.tie_break else Color.RED
+        tie = Color(args.tie_break) if args.tie_break else Color.RED
         return majority_strategy(n, tie)
     if name == "composite":
         return composite_strategy(n)
-    if config.blue_max is None or config.red_min is None or config.block is None:
+    if args.blue_max is None or args.red_min is None or args.block is None:
         raise ContractError("the partial strategy needs --a, --b and --block")
-    members = _parse_block(config.block)
+    members = _parse_block(args.block)
     if any(p < 1 or p > n for p in members):
         raise ContractError(f"block members out of range 1..{n}")
     pairing = canonical_pairing(n).restricted_to(members)
-    params = PartialStrategyParams(members, config.blue_max, config.red_min, pairing)
+    params = PartialStrategyParams(members, args.blue_max, args.red_min, pairing)
     return partial_profile(params, n)
 
 
@@ -124,11 +111,9 @@ def _record_table(record: dict) -> Callable[[], list[tuple]]:
     return lambda: [keys, tuple(record[key] for key in keys)]
 
 
-def _cmd_eval(config: RunConfig) -> Output:
-    if not config.omega:
-        raise ContractError("eval needs --omega")
-    distribution = make_distribution(config.omega)
-    strategy = _build_strategy(config, distribution.n)
+def _cmd_eval(args: argparse.Namespace) -> Output:
+    distribution = make_distribution(args.omega)
+    strategy = _build_strategy(args, distribution.n)
     result = evaluate(strategy, distribution)
     record = {
         "command": "eval",
@@ -147,28 +132,26 @@ def _cmd_eval(config: RunConfig) -> Output:
     return 0, record, table
 
 
-def _checked_bound(strategy_name: str, n: int):
-    """The loss bound a sweep or sample is judged against."""
-    plan = None
-    if strategy_name == "composite" and n % 2 == 0 and n >= 6:
-        plan = make_partition(n)
-    bound = guarantee_bound(n, plan)
+def _checked_bound(strategy):
+    """The loss bound a sweep or sample is judged against: the structural
+    bound of the plan the rule plays, if it plays one."""
+    n = strategy.n
+    bound = guarantee_bound(n, getattr(strategy.guess_rule, "plan", None))
     theorem = bound.theorem_loss_even if n % 2 == 0 else bound.theorem_loss_general
     checked = bound.structural_loss if bound.structural_loss is not None else theorem
     return bound, theorem, checked
 
 
-def _cmd_sweep(config: RunConfig) -> Output:
-    if config.n is None:
-        raise ContractError("sweep needs --n")
-    strategy = _build_strategy(config, config.n)
-    report = exhaustive_worst_case(strategy, config.n)
-    bound, theorem, checked = _checked_bound(strategy.name, config.n)
+def _cmd_sweep(args: argparse.Namespace) -> Output:
+    _check_cap("sweep", "--n", args.n, MAX_N)
+    strategy = _build_strategy(args, args.n)
+    report = exhaustive_worst_case(strategy, args.n)
+    bound, theorem, checked = _checked_bound(strategy)
     ok = report.worst_loss <= checked
     record = {
         "command": "sweep",
         "strategy": strategy.name,
-        "n": config.n,
+        "n": args.n,
         "report": report.to_json_dict(),
         "structural_loss": bound.structural_loss,
         "theorem_loss_even": bound.theorem_loss_even,
@@ -179,13 +162,11 @@ def _cmd_sweep(config: RunConfig) -> Output:
     return (0 if ok else 1), record, report.to_csv_rows
 
 
-def _cmd_identity(config: RunConfig) -> Output:
-    if config.n is None:
-        raise ContractError("identity needs --n")
-    result = identity_check(config.n)
+def _cmd_identity(args: argparse.Namespace) -> Output:
+    result = identity_check(args.n)
     record = {
         "command": "identity",
-        "n": config.n,
+        "n": args.n,
         "lhs": result.lhs,
         "rhs": result.rhs,
         "equal": result.equal,
@@ -193,15 +174,13 @@ def _cmd_identity(config: RunConfig) -> Output:
     return (0 if result.equal else 1), record, _record_table(record)
 
 
-def _cmd_bounds(config: RunConfig) -> Output:
-    if config.n is None:
-        raise ContractError("bounds needs --n (upper end of the even range)")
-    if config.n < 6 or config.n % 2:
-        raise ContractError(f"bounds needs an even --n >= 6, got {config.n}")
-    _check_cap("bounds", "--n", config.n, MAX_N)
+def _cmd_bounds(args: argparse.Namespace) -> Output:
+    if args.n < 6 or args.n % 2:
+        raise ContractError(f"bounds needs an even --n >= 6, got {args.n}")
+    _check_cap("bounds", "--n", args.n, MAX_N)
     rows = []
     all_ok = True
-    for n in range(6, config.n + 1, 2):
+    for n in range(6, args.n + 1, 2):
         plan = make_partition(n)
         bound = guarantee_bound(n, plan)
         all_ok = all_ok and bound.structural_loss <= bound.theorem_loss_even
@@ -216,14 +195,12 @@ def _cmd_bounds(config: RunConfig) -> Output:
                 "lower_bound_loss": lower_bound_loss(n),
             }
         )
-    record = {"command": "bounds", "n_max": config.n, "rows": rows, "all_within_theorem": all_ok}
+    record = {"command": "bounds", "n_max": args.n, "rows": rows, "all_within_theorem": all_ok}
     return (0 if all_ok else 1), record, lambda: [tuple(rows[0]), *(tuple(r.values()) for r in rows)]
 
 
-def _cmd_search_optimal(config: RunConfig) -> Output:
-    if config.n is None:
-        raise ContractError("search-optimal needs --n")
-    report = search_optimal(config.n)
+def _cmd_search_optimal(args: argparse.Namespace) -> Output:
+    report = search_optimal(args.n)
     record = {
         "command": "search-optimal",
         "n": report.n,
@@ -234,29 +211,27 @@ def _cmd_search_optimal(config: RunConfig) -> Output:
     return 0, record, _record_table(record)
 
 
-def _cmd_sample(config: RunConfig) -> Output:
-    if config.n is None:
-        raise ContractError("sample needs --n")
-    _check_cap("sample", "--n", config.n, MAX_N)
-    _check_cap("sample", "--trials", config.trials, MAX_TRIALS)
-    strategy = _build_strategy(config, config.n)
+def _cmd_sample(args: argparse.Namespace) -> Output:
+    _check_cap("sample", "--n", args.n, MAX_N)
+    _check_cap("sample", "--trials", args.trials, MAX_TRIALS)
+    strategy = _build_strategy(args, args.n)
     report = monte_carlo(
         strategy,
-        config.n,
-        trials=config.trials,
-        red_count=config.red_count,
-        seed=config.seed,
-        workers=config.workers,
+        args.n,
+        trials=args.trials,
+        red_count=args.red_count,
+        seed=args.seed,
+        workers=args.workers,
     )
-    _, theorem, _ = _checked_bound(strategy.name, config.n)
+    _, theorem, _ = _checked_bound(strategy)
     ok = report.worst_loss <= theorem
     record = {
         "command": "sample",
         "strategy": strategy.name,
-        "n": config.n,
-        "trials": config.trials,
-        "seed": config.seed,
-        "red_count": "uniform" if config.red_count in (None, "uniform") else int(config.red_count),
+        "n": args.n,
+        "trials": args.trials,
+        "seed": args.seed,
+        "red_count": "uniform" if args.red_count in (None, "uniform") else int(args.red_count),
         "report": report.to_json_dict(),
         "theorem_loss": theorem,
         "bound_satisfied": ok,
@@ -264,11 +239,9 @@ def _cmd_sample(config: RunConfig) -> Output:
     return (0 if ok else 1), record, report.to_csv_rows
 
 
-def _cmd_plan(config: RunConfig) -> Output:
-    if config.n is None:
-        raise ContractError("plan needs --n")
-    _check_cap("plan", "--n", config.n, MAX_N)
-    plan = make_partition(config.n)
+def _cmd_plan(args: argparse.Namespace) -> Output:
+    _check_cap("plan", "--n", args.n, MAX_N)
+    plan = make_partition(args.n)
 
     def table() -> list[tuple]:
         return [("block", "size", "first", "last"),
@@ -276,16 +249,6 @@ def _cmd_plan(config: RunConfig) -> Output:
 
     return 0, plan.to_json_dict(), table
 
-
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "identity": _cmd_identity,
-    "bounds": _cmd_bounds,
-    "search-optimal": _cmd_search_optimal,
-    "sample": _cmd_sample,
-    "plan": _cmd_plan,
-}
 
 # The record fields each command prints as text, one "name: value" line
 # each; "report.x" reaches into the nested report, and a list of rows
@@ -328,27 +291,15 @@ def _text_lines(record: dict, keys: tuple[str, ...]):
             yield f"{name}: {_text(value)}"
 
 
-def _render(config: RunConfig, out, record: dict, table: Callable[[], list[tuple]]) -> None:
-    if config.fmt == "json":
+def _render(args: argparse.Namespace, out, record: dict, table: Callable[[], list[tuple]]) -> None:
+    if args.fmt == "json":
         print(json.dumps(record, indent=2), file=out)
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         rows = ([_fmt_float(v) if isinstance(v, float) else v for v in row] for row in table())
         csv.writer(out, lineterminator="\n").writerows(rows)
     else:
-        for line in _text_lines(record, _TEXT_KEYS[config.command]):
+        for line in _text_lines(record, _TEXT_KEYS[args.command]):
             print(line, file=out)
-
-
-def _add_format(sp) -> None:
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
-
-
-def _add_strategy_options(sp) -> None:
-    sp.add_argument("--strategy", choices=STRATEGY_NAMES, required=True)
-    sp.add_argument("--tie-break", dest="tie_break", choices=("R", "B"), default=None)
-    sp.add_argument("--a", dest="blue_max", type=int, default=None)
-    sp.add_argument("--b", dest="red_min", type=int, default=None)
-    sp.add_argument("--block", default=None, help="partial block as 'lo-hi' or 'i,j,...'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,58 +309,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="run one strategy on one distribution")
-    _add_strategy_options(p)
+    def command(name: str, handler, help: str, *, strategy: bool = False, n: bool = True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if strategy:
+            p.add_argument("--strategy", choices=STRATEGY_NAMES, required=True)
+            p.add_argument("--tie-break", choices=("R", "B"))
+            p.add_argument("--a", dest="blue_max", type=int)
+            p.add_argument("--b", dest="red_min", type=int)
+            p.add_argument("--block", help="partial block as 'lo-hi' or 'i,j,...'")
+        if n:
+            p.add_argument("--n", type=int, required=True)
+        return p
+
+    p = command("eval", _cmd_eval, "run one strategy on one distribution", strategy=True, n=False)
     p.add_argument("--omega", required=True, help="hat distribution as an {R,B} string")
-    _add_format(p)
-
-    p = sub.add_parser("sweep", help="exhaustive worst-case report over all 2^n distributions")
-    _add_strategy_options(p)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("identity", help="exact binomial-sum identity check")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("bounds", help="loss-bound table for even n from 6 up to --n")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("search-optimal", help="enumerate every strategy profile (n <= 3)")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("sample", help="seeded Monte Carlo worst-case report")
-    _add_strategy_options(p)
-    p.add_argument("--n", type=int, required=True)
+    command("sweep", _cmd_sweep, "exhaustive worst-case report over all 2^n distributions",
+            strategy=True)
+    command("identity", _cmd_identity, "exact binomial-sum identity check")
+    command("bounds", _cmd_bounds, "loss-bound table for even n from 6 up to --n")
+    command("search-optimal", _cmd_search_optimal, "enumerate every strategy profile (n <= 3)")
+    p = command("sample", _cmd_sample, "seeded Monte Carlo worst-case report", strategy=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--red-count", dest="red_count", default=None,
+    p.add_argument("--red-count",
                    help="fix the number of red hats (default: uniform over all distributions)")
     p.add_argument("--workers", type=int, default=1)
-    _add_format(p)
-
-    p = sub.add_parser("plan", help="partition plan used by the composite strategy")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-
+    command("plan", _cmd_plan, "partition plan used by the composite strategy")
+    for p in sub.choices.values():
+        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
     return parser
 
 
-def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(**vars(ns))
-
-
-def run(config: RunConfig, out=None, err=None) -> int:
+def run(args: argparse.Namespace, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        code, record, table = _HANDLERS[config.command](config)
+        code, record, table = args.handler(args)
     except HatGameError as exc:
         print(f"error: {exc}", file=err)
         return 2
-    _render(config, out, record, table)
+    _render(args, out, record, table)
     return code
 
 
@@ -419,7 +359,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return run(config_from_namespace(ns))
+    return run(ns)
 
 
 if __name__ == "__main__":

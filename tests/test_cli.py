@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from hatguess import cli
-from hatguess.cli import build_parser, config_from_namespace, main, run
+from hatguess.cli import build_parser, main, run
 
 
 def invoke(*argv):
@@ -17,7 +19,7 @@ def invoke(*argv):
     except SystemExit as exc:
         return int(exc.code), "", ""
     out, err = io.StringIO(), io.StringIO()
-    code = run(config_from_namespace(ns), out, err)
+    code = run(ns, out, err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -259,3 +261,28 @@ def test_plan_and_sample_caps_exit_2_before_any_work(monkeypatch):
         code, out, err = invoke(*argv)
         assert (code, out) == (2, "")
         assert "capped" in err and cap in err
+
+
+def test_sweep_cap_exits_2_before_the_strategy_is_built(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started working above its cap")
+
+    monkeypatch.setattr(cli, "composite_strategy", no_work)
+    monkeypatch.setattr(cli, "exhaustive_worst_case", no_work)
+    code, out, err = invoke("sweep", "--strategy", "composite", "--n", "4098")
+    assert (code, out) == (2, "")
+    assert "capped" in err and "--n <= 4096" in err
+
+
+def readme_cli_lines():
+    """The ``hatguess ...`` lines of the code block under the README's ## CLI."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("hatguess ")]
+    assert lines, "no hatguess lines in the README's ## CLI block"
+    return lines
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_exits_0(line, capsys):
+    assert main(shlex.split(line)[1:]) == 0

@@ -3,7 +3,12 @@ plans, with k >= 2 blocks of large/small sizes and players shuffled across
 blocks, and on their odd-n spectator: the bulk bit path of the
 block-threshold rule equals the per-player path, neither path lets a
 player's guess depend on their own hat, and the orbit sweep equals the bit
-sweep where parts and cells interleave."""
+sweep where parts and cells interleave.  Also: sweep pieces merge the same
+under any bracketing, and every CLI command's JSON output round-trips."""
+
+import contextlib
+import io
+import json
 
 import pytest
 
@@ -17,11 +22,16 @@ from hatguess import (  # noqa: E402
     Pairing,
     PartitionPlan,
     StrategyProfile,
+    analysis,
+    canonical_pairing,
+    cli,
+    composite_strategy,
     evaluate,
     exhaustive_worst_case,
+    majority_strategy,
+    pairing_strategy,
     verify_no_peek,
 )
-from hatguess import analysis  # noqa: E402
 from hatguess.core import mask_of  # noqa: E402
 from hatguess.strategies import (  # noqa: E402
     BlockThresholdRule,
@@ -143,3 +153,84 @@ def test_orbit_sweep_equals_the_bit_sweep_on_scattered_layouts(strategy):
     got = (report.min_correct, report.worst_loss, report.witness.red_mask, histogram,
            report.total_correct, report.evaluated)
     assert got == tuple(want)
+
+
+@st.composite
+def chunked_sweeps(draw):
+    """A built-in strategy at n <= 10 and its bit sweep cut into pieces at
+    random points of [0, 2^n), empty pieces included."""
+    name = draw(st.sampled_from(["pairing", "majority", "composite"]))
+    n = draw(st.integers(2, 10))
+    if name == "pairing":
+        strategy = pairing_strategy(canonical_pairing(n - n % 2))
+    elif name == "majority":
+        strategy = majority_strategy(n)
+    else:
+        strategy = composite_strategy(n)
+    n = strategy.n
+    cuts = sorted(draw(st.lists(st.integers(0, 1 << n), max_size=6)))
+    ends = [0, *cuts, 1 << n]
+    pieces = [analysis._sweep_chunk((strategy, n, lo, hi)) for lo, hi in zip(ends, ends[1:])]
+    return strategy, pieces
+
+
+def merged(pieces, data):
+    """The pieces merged in order under a bracketing drawn from ``data``."""
+    if len(pieces) == 1:
+        return pieces[0]
+    cut = data.draw(st.integers(1, len(pieces) - 1))
+    return analysis._merge_partials(merged(pieces[:cut], data), merged(pieces[cut:], data))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(chunked_sweeps(), st.data())
+def test_merge_partials_is_associative_under_any_chunking(strategy_and_pieces, data):
+    strategy, pieces = strategy_and_pieces
+    n = strategy.n
+    assert merged(pieces, data) == analysis._sweep_chunk((strategy, n, 0, 1 << n))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A small argv of eval, sweep, sample, plan, bounds or identity without
+    --format: n is even three times in four, and a partial block's
+    thresholds are valid, so most draws run and some exit 2."""
+    command = draw(st.sampled_from(["eval", "sweep", "sample", "plan", "bounds", "identity"]))
+    top = {"sweep": 10, "eval": 24, "sample": 24}.get(command, 40)
+    n = 2 * draw(st.integers(1, top // 2)) - draw(st.sampled_from([0, 0, 0, 1]))
+    if command in ("plan", "bounds", "identity"):
+        return [command, "--n", str(n)]
+    argv = [command, "--strategy", draw(st.sampled_from(cli.STRATEGY_NAMES))]
+    if command == "eval":
+        argv += ["--omega", "".join(draw(st.lists(st.sampled_from("RB"), min_size=n, max_size=n)))]
+    else:
+        argv += ["--n", str(n)]
+    if argv[2] == "partial":
+        half = draw(st.integers(1, max(1, n // 2)))
+        blue_max = draw(st.integers(0, half - 1))
+        red_min = draw(st.integers(max(half, blue_max + 2), 2 * half))
+        argv += ["--block", f"1-{2 * half}", "--a", str(blue_max), "--b", str(red_min)]
+    if command == "sample":
+        argv += ["--trials", str(draw(st.integers(1, 50))), "--seed", str(draw(st.integers(0, 9)))]
+        if draw(st.booleans()):
+            argv += ["--red-count", str(draw(st.integers(0, n)))]
+    return argv
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(cli_argvs())
+def test_cli_json_round_trips(argv):
+    """An error (exit 2) prints no JSON at all."""
+    code, out = run_cli([*argv, "--format", "json"])
+    assert [run_cli([*argv, "--format", fmt])[0] for fmt in ("text", "csv")] == [code, code]
+    if code == 2:
+        assert out == ""
+    else:
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
