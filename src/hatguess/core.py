@@ -114,9 +114,6 @@ class HatDistribution:
             raise ContractError(f"player {player} out of range 1..{self.n}")
         return Color.RED if self.red_mask >> (player - 1) & 1 else Color.BLUE
 
-    def colors(self) -> tuple[Color, ...]:
-        return tuple(self.color_of(i) for i in range(1, self.n + 1))
-
     def count_red(self, mask: int) -> int:
         """Number of red hats among the players selected by ``mask``."""
         return (self.red_mask & mask).bit_count()

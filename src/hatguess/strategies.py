@@ -16,6 +16,11 @@ Four strategies live here:
   tracks max{r, b} up to a structural loss of max_block/2 + (k-1)^2,
   which the block sizing keeps below 1.2 * n^(2/3) + 1 for even n.
 
+Three of them are one rule, ``BlockThresholdRule``, which owns the
+pairing: the pairing strategy is that rule with no blocks, the partial
+strategy has one block with fixed thresholds, and the composite plays a
+plan's blocks, each made of whole pairs.
+
 Rule objects are immutable after construction, pure, and picklable, so
 sweeps can fan them out across worker processes.  Each built-in rule also
 implements ``bulk_guesses(red_mask) -> guess_mask``, a whole-profile bit
@@ -96,20 +101,6 @@ class Pairing:
             raise ContractError(f"player {player} is not in the pairing")
         return player in self._first  # type: ignore[attr-defined]
 
-    def restricted_to(self, players: frozenset[int]) -> Pairing:
-        """The sub-pairing covering exactly ``players``; every pair must be inside or outside."""
-        kept = []
-        for x, y in self.pairs:
-            inside = (x in players) + (y in players)
-            if inside == 1:
-                raise ContractError(f"pair ({x}, {y}) straddles the player subset")
-            if inside == 2:
-                kept.append((x, y))
-        sub = Pairing(tuple(kept))
-        if sub.covers != players:
-            raise ContractError("subset contains unpaired players")
-        return sub
-
 
 def canonical_pairing(n: int) -> Pairing:
     """The agreed-in-advance pairing (1,2), (3,4), ..., (n-1,n)."""
@@ -118,60 +109,12 @@ def canonical_pairing(n: int) -> Pairing:
     return Pairing(tuple((i, i + 1) for i in range(1, n, 2)))
 
 
-def _is_canonical(pairing: Pairing) -> bool:
-    return pairing.pairs == tuple((i, i + 1) for i in range(1, pairing.n, 2))
-
-
-# Bit masks of the first/second members of the canonical pairs, i.e. the
-# players at odd/even indices.
-def _canonical_role_masks(n: int) -> tuple[int, int]:
-    x = 0
-    for i in range(0, n, 2):
-        x |= 1 << i
-    return x, full_mask(n) ^ x
-
-
-class PairingRule:
-    """Per-pair rule: x calls y's color, y calls the opposite of x's color.
-
-    Works for any pairing, also one covering only a block of the players;
-    the bulk path only ever sets bits at the paired positions.
-    """
-
-    def __init__(self, pairing: Pairing):
-        self.pairing = pairing
-        if _is_canonical(pairing):
-            self._x_mask, self._y_mask = _canonical_role_masks(pairing.n)
-        else:
-            self._x_mask = self._y_mask = None
-
-    def __call__(self, observer: int, view: VisibleView) -> Color:
-        partner = self.pairing.partner_of(observer)
-        seen = view.color_of(partner)
-        return seen if self.pairing.is_first(observer) else seen.opposite()
-
-    @property
-    def parts(self) -> tuple[Part, ...]:
-        """Each pair is a part of one cell and reads no count."""
-        return tuple(Part((pair,), 1) for pair in self.pairing.pairs)
-
-    def bulk_guesses(self, red_mask: int) -> int:
-        if self._x_mask is not None:
-            # canonical layout: each x reads the bit above, each y negates the bit below
-            return ((red_mask >> 1) & self._x_mask) | ((~red_mask << 1) & self._y_mask)
-        g = 0
-        for x, y in self.pairing.pairs:
-            g |= (red_mask >> (y - 1) & 1) << (x - 1)
-            g |= (~red_mask >> (x - 1) & 1) << (y - 1)
-        return g
-
-
 def pairing_strategy(pairing: Pairing) -> StrategyProfile:
     """Full-game profile for a pairing covering all players 1..n."""
     n = pairing.n
     if pairing.covers != frozenset(range(1, n + 1)):
         raise ContractError("pairing must cover exactly the players 1..n")
-    return StrategyProfile(n, PairingRule(pairing), "pairing")
+    return StrategyProfile(n, BlockThresholdRule(pairing, (), ()), "pairing")
 
 
 class MajorityRule:
@@ -230,13 +173,13 @@ class PartialStrategyParams:
     members: frozenset[int]
     blue_max: int
     red_min: int
-    pairing: Pairing
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ContractError("empty block")
-        if self.pairing.covers != self.members:
-            raise ContractError("pairing must cover exactly the block members")
+        partners = {p + 1 if p % 2 else p - 1 for p in self.members}
+        if partners != self.members or min(self.members) < 1:
+            raise ContractError("block must consist of whole canonical pairs (2i - 1, 2i)")
         half2 = len(self.members)  # = 2 * (|T|/2); avoids fractions
         if not (2 * self.blue_max < half2 <= 2 * self.red_min):
             raise ContractError(
@@ -254,24 +197,36 @@ class PartialStrategyParams:
         return len(self.members)
 
     @property
+    def pairing(self) -> Pairing:
+        """The canonical pairs of the members."""
+        return Pairing(tuple((p, p + 1) for p in sorted(self.members) if p % 2))
+
+    @property
     def members_mask(self) -> int:
         return mask_of(self.members)
 
 
 class BlockThresholdRule:
-    """The block rule S(T, a, b) on every block of a game.
+    """The block rule S(T, a, b) on every block of a game, and the pairing
+    it plays between the thresholds.
 
-    A member of block i who sees v red hats in the block calls red when
-    v >= red_min, blue when v <= blue_max, and plays the pairing rule
-    otherwise.  ``thresholds`` either fixes (blue_max, red_min) per block
-    (the partial strategy) or is a plan, whose blocks then read their
-    thresholds from the hats outside the block via compute_thresholds (the
-    composite).  The modular offset in a plan's thresholds lets at most one
-    block (the one indexed by the total red count mod k) land in its two bad
-    cases.  Players in no block play the pairing; players the pairing does
-    not cover are rejected.
+    The pairing: in each pair (x, y), x calls y's color and y calls the
+    opposite of x's, so exactly one of the two is right.  A member of block
+    i who sees v red hats in the block calls red when v >= red_min, blue
+    when v <= blue_max, and plays the pairing otherwise.  Players in no
+    block play the pairing, so the rule with no blocks is the pairing
+    strategy; players the pairing does not cover are rejected.
 
-    The bulk path looks each block's thresholds up in a table built once
+    ``thresholds`` either fixes (blue_max, red_min) per block (the partial
+    strategy) or is a plan (the composite).  A plan's rule plays the plan's
+    own blocks, every pair lies inside one of them, and each block reads
+    its thresholds from the hats outside it via compute_thresholds.  The
+    modular offset in those thresholds lets at most one block (the one
+    indexed by the total red count mod k) land in its two bad cases.
+
+    The bulk path plays the pairing with two shifts and two masks per
+    distance y - x between partners (the canonical pairing has the single
+    distance 1).  It looks each block's thresholds up in a table built once
     here, indexed by the outside red count modulo its length: a plan's
     thresholds repeat every k, fixed ones never change.  The per-player
     path still derives them through compute_thresholds, as the cross-check.
@@ -284,23 +239,37 @@ class BlockThresholdRule:
         thresholds: tuple[tuple[int, int], ...] | PartitionPlan,
     ):
         plan = self.plan = thresholds if isinstance(thresholds, PartitionPlan) else None
+        self.pairing = pairing
+        self._block_of = {p: i for i, block in enumerate(blocks) for p in block}
         if plan is None:
             tables = [(pair,) for pair in thresholds]
         else:
+            if tuple(blocks) != plan.blocks:
+                raise ContractError("a plan's rule must play the plan's own blocks")
+            for x, y in pairing.pairs:
+                if x not in self._block_of or self._block_of[x] != self._block_of.get(y):
+                    raise ContractError(f"pair ({x}, {y}) straddles a block boundary")
             tables = [
                 tuple(compute_thresholds(o, plan, i) for o in range(plan.k))
-                for i in range(1, len(blocks) + 1)
+                for i in range(1, plan.k + 1)
             ]
         self._blocks = tuple(zip(map(mask_of, blocks), tables))
-        self._block_of = {p: i for i, block in enumerate(blocks) for p in block}
-        self._pairing_rule = PairingRule(pairing)
+        groups: dict[int, tuple[int, int]] = {}
+        for x, y in pairing.pairs:
+            xs, ys = groups.get(y - x, (0, 0))
+            groups[y - x] = (xs | 1 << (x - 1), ys | 1 << (y - 1))
+        self._groups = tuple((d, xs, ys) for d, (xs, ys) in groups.items())
         self._covered = mask_of(pairing.covers)
         self._unblocked = self._covered & ~mask_of(self._block_of)
+
+    def _pair_guess(self, observer: int, view: VisibleView) -> Color:
+        seen = view.color_of(self.pairing.partner_of(observer))
+        return seen if self.pairing.is_first(observer) else seen.opposite()
 
     def __call__(self, observer: int, view: VisibleView) -> Color:
         i = self._block_of.get(observer)
         if i is None:
-            return self._pairing_rule(observer, view)
+            return self._pair_guess(observer, view)
         block_mask, table = self._blocks[i]
         if self.plan is None:
             blue_max, red_min = table[0]
@@ -311,7 +280,7 @@ class BlockThresholdRule:
             return Color.RED
         if visible_reds <= blue_max:
             return Color.BLUE
-        return self._pairing_rule(observer, view)
+        return self._pair_guess(observer, view)
 
     @property
     def parts(self) -> tuple[Part, ...] | None:
@@ -321,10 +290,10 @@ class BlockThresholdRule:
         block_of = self._block_of.get
         cells: list[list[tuple[int, int]]] = [[] for _ in self._blocks]
         loose = []
-        for x, y in self._pairing_rule.pairing.pairs:
+        for x, y in self.pairing.pairs:
             i = block_of(x)
             if i != block_of(y):
-                return None  # a pair across two blocks ties their guesses together
+                return None  # a pair across two fixed blocks ties their guesses together
             if i is None:
                 loose.append(Part(((x, y),), 1))
             else:
@@ -333,7 +302,13 @@ class BlockThresholdRule:
         return blocks + tuple(loose)
 
     def bulk_guesses(self, red_mask: int) -> int:
-        pairing_g = self._pairing_rule.bulk_guesses(red_mask)
+        pairing_g = 0
+        for d, xs, ys in self._groups:
+            # each x reads its partner's bit d places up, each y negates the bit d places down
+            if d > 0:
+                pairing_g |= (red_mask >> d) & xs | (~red_mask << d) & ys
+            else:
+                pairing_g |= (red_mask << -d) & xs | (~red_mask >> -d) & ys
         r = (red_mask & self._covered).bit_count()
         g = pairing_g & self._unblocked
         for block_mask, table in self._blocks:
@@ -365,11 +340,8 @@ def partial_profile(params: PartialStrategyParams, n: int) -> StrategyProfile:
         raise ContractError(f"embedding needs a positive even n, got {n}")
     if any(p > n for p in params.members):
         raise ContractError("block members exceed the player count")
-    canonical = canonical_pairing(n)
-    if set(params.pairing.pairs) != set(canonical.restricted_to(params.members).pairs):
-        raise ContractError("block must consist of whole canonical pairs")
     rule = BlockThresholdRule(
-        canonical, (params.members,), ((params.blue_max, params.red_min),)
+        canonical_pairing(n), (params.members,), ((params.blue_max, params.red_min),)
     )
     return StrategyProfile(n, rule, "partial")
 
@@ -403,23 +375,18 @@ def lemma_table_bound(distribution: HatDistribution, params: PartialStrategyPara
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Blocks T_1..T_k of even sizes covering 1..n, aligned to whole pairs.
+    """Blocks T_1..T_k of even sizes covering 1..n.
 
-    The first ``large_blocks`` blocks share the larger of the two sizes;
-    the size split solves n = l * big + (k - l) * small exactly.
+    The first ``large_blocks`` blocks share the larger of the two sizes,
+    which is the smaller one plus 0 or 2; n, k and that split are read off
+    the blocks.
     """
 
-    n: int
-    k: int
-    large_blocks: int
     blocks: tuple[tuple[int, ...], ...]
-    pairing: Pairing
 
     def __post_init__(self) -> None:
-        if self.k < 2 or len(self.blocks) != self.k:
-            raise ContractError(f"need k >= 2 blocks, got {len(self.blocks)} for k={self.k}")
-        if not 1 <= self.large_blocks <= self.k:
-            raise ContractError(f"large block count {self.large_blocks} out of 1..{self.k}")
+        if self.k < 2:
+            raise ContractError(f"need k >= 2 blocks, got {self.k}")
         seen: set[int] = set()
         for block in self.blocks:
             if len(block) < 2 or len(block) % 2:
@@ -434,15 +401,23 @@ class PartitionPlan:
         expected = (big,) * self.large_blocks + (small,) * (self.k - self.large_blocks)
         if sizes != expected or big - small not in (0, 2):
             raise ContractError(f"block sizes {sizes} do not follow the large/small split")
-        block_of = {p: idx for idx, block in enumerate(self.blocks, start=1) for p in block}
-        for x, y in self.pairing.pairs:
-            if x not in block_of or block_of[x] != block_of.get(y):
-                raise ContractError(f"pair ({x}, {y}) straddles a block boundary")
         masks = tuple(mask_of(b) for b in self.blocks)
         object.__setattr__(self, "_masks", masks)
         full = full_mask(self.n)
         object.__setattr__(self, "_outside", tuple(full ^ m for m in masks))
-        object.__setattr__(self, "_block_of", block_of)
+
+    @property
+    def n(self) -> int:
+        return sum(self.block_sizes)
+
+    @property
+    def k(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def large_blocks(self) -> int:
+        sizes = self.block_sizes
+        return sizes.count(sizes[0])
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -456,10 +431,10 @@ class PartitionPlan:
 
     def block_of(self, player: int) -> int:
         """1-based index of the block containing ``player``."""
-        try:
-            return self._block_of[player]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ContractError(f"player {player} out of range 1..{self.n}") from None
+        for index, block in enumerate(self.blocks, start=1):
+            if player in block:
+                return index
+        raise ContractError(f"player {player} out of range 1..{self.n}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -491,17 +466,14 @@ def make_partition(n: int) -> PartitionPlan:
     k = _block_count(n)
     big = 2 * ((n + 2 * k - 1) // (2 * k))  # smallest even >= n/k
     small = 2 * (n // (2 * k))              # largest even <= n/k
-    if big == small:
-        large = k  # n/k already even: every block is "large"
-    else:
-        large = (n - k * small) // 2
+    large = (n - k * small) // 2  # 0 when big == small, and then every block is large
     sizes = (big,) * large + (small,) * (k - large)
     blocks = []
     start = 1
     for size in sizes:
         blocks.append(tuple(range(start, start + size)))
         start += size
-    return PartitionPlan(n, k, large, tuple(blocks), canonical_pairing(n))
+    return PartitionPlan(tuple(blocks))
 
 
 def compute_thresholds(
@@ -569,9 +541,9 @@ def _even_composite_rule(n: int) -> GuessRule:
     if n in (2, 4):
         # no partition into >= 2 even blocks exists at n = 2 and the bound
         # is loose enough at n = 4: the plain pairing already meets it
-        return PairingRule(canonical_pairing(n))
+        return BlockThresholdRule(canonical_pairing(n), (), ())
     plan = make_partition(n)
-    return BlockThresholdRule(plan.pairing, plan.blocks, plan)
+    return BlockThresholdRule(canonical_pairing(n), plan.blocks, plan)
 
 
 def composite_strategy(n: int) -> StrategyProfile:

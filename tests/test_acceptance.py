@@ -37,9 +37,7 @@ ODD_DESK = range(7, 18, 2)
 
 def block_params(size, blue_max, red_min):
     members = frozenset(range(1, size + 1))
-    return PartialStrategyParams(
-        members, blue_max, red_min, canonical_pairing(size).restricted_to(members)
-    )
+    return PartialStrategyParams(members, blue_max, red_min)
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from hatguess import (
     Color,
     HatDistribution,
     PartitionPlan,
-    canonical_pairing,
     composite_strategy,
     evaluate,
     exhaustive_worst_case,
@@ -27,7 +26,7 @@ PINNED = {(12, 3): (5, 6), (16, 4): (7, 11), (18, 3): (6, 7)}
 def equal_plan(n, k):
     size = n // k
     blocks = tuple(tuple(range(start, start + size)) for start in range(1, n + 1, size))
-    return PartitionPlan(n, k, k, blocks, canonical_pairing(n))
+    return PartitionPlan(blocks)
 
 
 @pytest.fixture

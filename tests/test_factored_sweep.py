@@ -78,7 +78,7 @@ def test_composite(monkeypatch, n):
 def equal_plan(n, k):
     size = n // k
     blocks = tuple(tuple(range(start, start + size)) for start in range(1, n + 1, size))
-    return PartitionPlan(n, k, k, blocks, canonical_pairing(n))
+    return PartitionPlan(blocks)
 
 
 @pytest.mark.parametrize("spectator", [0, 1])
@@ -92,9 +92,7 @@ def test_hand_built_plans(monkeypatch, n, k, spectator):
 
 def partial_block(n, members, blue_max, red_min):
     members = frozenset(members)
-    params = PartialStrategyParams(
-        members, blue_max, red_min, canonical_pairing(n).restricted_to(members)
-    )
+    params = PartialStrategyParams(members, blue_max, red_min)
     return partial_profile(params, n)
 
 
@@ -160,22 +158,24 @@ def interleave(groups):
 
 def shuffled_plan(n, k, seed):
     """A plan whose pairs and blocks are scattered over the players, so that
-    parts interleave and so do the cells inside a part."""
+    parts interleave and so do the cells inside a part, and its pairing."""
     rng = random.Random(seed)
     players = list(range(1, n + 1))
     rng.shuffle(players)
     pairs = tuple(tuple(players[i : i + 2]) for i in range(0, n, 2))
     per_block = n // k // 2
     blocks = tuple(sum(pairs[b * per_block : (b + 1) * per_block], ()) for b in range(k))
-    return PartitionPlan(n, k, k, blocks, Pairing(pairs))
+    return PartitionPlan(blocks), Pairing(pairs)
 
 
 @pytest.mark.parametrize("spectator", [0, 1])
 @pytest.mark.parametrize("n,k,seed", [(8, 2, 1), (12, 3, 2), (12, 2, 3)])
 def test_interleaved_parts_and_cells(monkeypatch, n, k, seed, spectator):
-    plan = shuffled_plan(n, k, seed)
-    monkeypatch.setattr(strategies, "make_partition", lambda _n: plan)
-    strategy = composite_strategy(n + spectator)
+    plan, pairing = shuffled_plan(n, k, seed)
+    rule = strategies.BlockThresholdRule(pairing, plan.blocks, plan)
+    if spectator:
+        rule = strategies.SpectatorCompositeRule(n + 1, rule)
+    strategy = StrategyProfile(n + spectator, rule, "composite")
     parts = strategy.guess_rule.parts
     assert interleave([sum(part.cells, ()) for part in parts]) or any(
         interleave(part.cells) for part in parts
@@ -404,7 +404,7 @@ class PairsByName:
     which."""
 
     def __init__(self):
-        self.rule = strategies.PairingRule(canonical_pairing(6))
+        self.rule = strategies.BlockThresholdRule(canonical_pairing(6), (), ())
         self.parts = (Part(((1, 2), (3, 4), (5, 6)), 1),)
 
     def __call__(self, observer, view):
@@ -428,7 +428,7 @@ class FlipsOnTheLastHat:
     def __init__(self, n, only_if_hat_1_blue):
         self.n = n
         self.only_if_hat_1_blue = only_if_hat_1_blue
-        self.rule = strategies.PairingRule(canonical_pairing(n))
+        self.rule = strategies.BlockThresholdRule(canonical_pairing(n), (), ())
         self.parts = self.rule.parts
 
     def lies(self, is_red):

@@ -35,7 +35,6 @@ from hatguess import (  # noqa: E402
 from hatguess.core import mask_of  # noqa: E402
 from hatguess.strategies import (  # noqa: E402
     BlockThresholdRule,
-    PairingRule,
     SpectatorCompositeRule,
 )
 from test_factored_sweep import SpectatorAt  # noqa: E402
@@ -46,8 +45,9 @@ MAX_N = 60
 @st.composite
 def plans_and_masks(draw):
     """A PartitionPlan built directly (not by make_partition) on a random
-    order of the players, and a mask of n+1 hats whose red count in each
-    block is drawn first, so every lemma case is reachable."""
+    order of the players, a pairing of the players inside its blocks, and a
+    mask of n+1 hats whose red count in each block is drawn first, so every
+    lemma case is reachable."""
     k = draw(st.integers(2, 8) | st.integers(9, MAX_N // 2))
     half_small = draw(st.integers(1, MAX_N // (2 * k)))
     small = 2 * half_small
@@ -64,12 +64,12 @@ def plans_and_masks(draw):
         start += size
         blocks.append(tuple(block))
         pairs.extend((block[j], block[j + 1]) for j in range(0, size, 2))
-    plan = PartitionPlan(n, k, large_blocks, tuple(blocks), Pairing(tuple(pairs)))
+    plan = PartitionPlan(tuple(blocks))
     mask = draw(st.integers(0, 1)) << n
     for block in blocks:
         reds = draw(st.integers(0, len(block)))
         mask |= mask_of(draw(st.permutations(block))[:reds])
-    return plan, mask
+    return plan, Pairing(tuple(pairs)), mask
 
 
 def guesses_mask(strategy, red_mask):
@@ -80,9 +80,9 @@ def guesses_mask(strategy, red_mask):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(plans_and_masks())
 def test_bulk_matches_per_player_on_random_plans(plan_and_mask):
-    plan, mask = plan_and_mask
+    plan, pairing, mask = plan_and_mask
     n = plan.n
-    rule = BlockThresholdRule(plan.pairing, plan.blocks, plan)
+    rule = BlockThresholdRule(pairing, plan.blocks, plan)
     even = StrategyProfile(n, rule, "composite")
     odd = StrategyProfile(n + 1, SpectatorCompositeRule(n + 1, rule), "composite")
     inner = mask & ((1 << n) - 1)
@@ -94,9 +94,9 @@ def test_bulk_matches_per_player_on_random_plans(plan_and_mask):
 @given(plans_and_masks())
 def test_no_player_reads_their_own_hat_on_random_plans(plan_and_mask):
     """The orbit sweep joins the spectator as a factor (1 + y) on this."""
-    plan, mask = plan_and_mask
+    plan, pairing, mask = plan_and_mask
     n = plan.n
-    rule = BlockThresholdRule(plan.pairing, plan.blocks, plan)
+    rule = BlockThresholdRule(pairing, plan.blocks, plan)
     odd = StrategyProfile(n + 1, SpectatorCompositeRule(n + 1, rule), "composite")
     guesses = odd.bulk(mask)
     for p in range(n + 1):
@@ -121,14 +121,14 @@ def scattered_rules(draw):
     order = draw(st.permutations(range(1, n + 1)))
     pairs = tuple(tuple(order[j : j + 2]) for j in range(0, n, 2))
     if draw(st.booleans()):
-        rule = PairingRule(Pairing(pairs))
+        rule = BlockThresholdRule(Pairing(pairs), (), ())
     else:
         blocks, start = [], 0
         for size in sizes:
             blocks.append(order[start : start + size])
             start += size
-        plan = PartitionPlan(n, k, large_blocks, tuple(map(tuple, blocks)), Pairing(pairs))
-        rule = BlockThresholdRule(plan.pairing, plan.blocks, plan)
+        plan = PartitionPlan(tuple(map(tuple, blocks)))
+        rule = BlockThresholdRule(Pairing(pairs), plan.blocks, plan)
     if spectator:
         seat = draw(st.integers(1, n + 1))
         moved = SpectatorAt(SpectatorCompositeRule(n + 1, rule), n + 1, seat)

@@ -27,13 +27,12 @@ from hatguess import (
 )
 from hatguess.core import full_mask, mask_of
 from hatguess.strategies import BlockThresholdRule
+from test_factored_sweep import chain_pairing
 
 
 def block_params(size, blue_max, red_min):
     members = frozenset(range(1, size + 1))
-    return PartialStrategyParams(
-        members, blue_max, red_min, canonical_pairing(size).restricted_to(members)
-    )
+    return PartialStrategyParams(members, blue_max, red_min)
 
 
 # ----------------------------------------------------------------------
@@ -63,8 +62,8 @@ def test_pairing_validation():
         Pairing(((1, 1),))
     with pytest.raises(ContractError):
         Pairing(((1, 2), (2, 3)))
-    with pytest.raises(ContractError):
-        canonical_pairing(6).restricted_to(frozenset({1, 2, 3}))
+    with pytest.raises(ContractError):  # player 3 without their partner 4
+        PartialStrategyParams(frozenset({1, 2, 3}), 0, 2)
 
 
 def test_pairing_strategy_same_colors():
@@ -145,9 +144,9 @@ def test_partial_params_validation():
 
 
 def test_partial_params_pairing_must_match():
-    members = frozenset({1, 2, 3, 4})
+    members = frozenset({2, 3, 4, 5})  # four players, but no canonical pair (2i - 1, 2i) whole
     with pytest.raises(ContractError):
-        PartialStrategyParams(members, 0, 3, canonical_pairing(2))
+        PartialStrategyParams(members, 0, 3)
 
 
 def in_block_record(params, text):
@@ -275,19 +274,26 @@ def test_make_partition_invariants_scan():
         assert all(block[0] % 2 == 1 for block in plan.blocks)
 
 
+def test_plan_mode_rule_plays_only_its_plans_blocks():
+    plan = make_partition(12)  # blocks 1..6 and 7..12
+    with pytest.raises(ContractError, match="plan's own blocks"):
+        BlockThresholdRule(canonical_pairing(12), ((1, 2, 3, 4), tuple(range(5, 13))), plan)
+    assert BlockThresholdRule(canonical_pairing(12), plan.blocks, plan).plan is plan
+
+
 def test_partition_plan_rejects_malformed():
     from hatguess import PartitionPlan
 
-    pairing = canonical_pairing(8)
     good = make_partition(8)
     with pytest.raises(ContractError):  # k = 1
-        PartitionPlan(8, 1, 1, (tuple(range(1, 9)),), pairing)
+        PartitionPlan((tuple(range(1, 9)),))
     with pytest.raises(ContractError):  # odd block size
-        PartitionPlan(8, 2, 1, ((1, 2, 3), (4, 5, 6, 7, 8)), pairing)
-    with pytest.raises(ContractError):  # gap in the cover
-        PartitionPlan(8, 2, 1, ((1, 2, 3, 4), (5, 6)), pairing)
-    with pytest.raises(ContractError):  # block boundary splits pair (3, 4)
-        PartitionPlan(8, 2, 1, ((1, 2, 3, 6), (4, 5, 7, 8)), pairing)
+        PartitionPlan(((1, 2, 3), (4, 5, 6, 7, 8)))
+    with pytest.raises(ContractError):  # gap in the cover: players 5 and 6
+        PartitionPlan(((1, 2, 3, 4), (7, 8)))
+    split = PartitionPlan(((1, 2, 3, 6), (4, 5, 7, 8)))
+    with pytest.raises(ContractError, match="straddles"):  # block boundary splits pair (3, 4)
+        BlockThresholdRule(canonical_pairing(8), split.blocks, split)
     assert good.block_of(5) == 2
     with pytest.raises(ContractError):
         good.block_of(9)
@@ -531,13 +537,32 @@ def test_bulk_matches_per_player_for_any_fixed_thresholds(blue_max, red_min):
     assert_bulk_matches_per_player(strategy, range(1 << 8))
 
 
+def reversed_pairing(n):
+    """(2,1), (4,3), ..., (n,n-1): every partner distance is -1."""
+    return Pairing(tuple((i + 1, i) for i in range(1, n, 2)))
+
+
+def shuffled_pairing(n):
+    players = list(range(1, n + 1))
+    random.Random(n).shuffle(players)
+    return Pairing(tuple(zip(players[::2], players[1::2])))
+
+
+@pytest.mark.parametrize(
+    "make_pairing", [canonical_pairing, reversed_pairing, chain_pairing, shuffled_pairing]
+)
+def test_pairing_bulk_matches_per_player_at_scale(make_pairing):
+    # the bulk path groups pairs by partner distance y - x, of either sign
+    n = 1000
+    rng = random.Random(n)
+    strategy = pairing_strategy(make_pairing(n))
+    assert_bulk_matches_per_player(strategy, (rng.getrandbits(n) for _ in range(64)))
+
+
 def test_offset_block_bulk_matches_per_player():
-    # a block that does not start at player 1 exercises the generic
-    # (non-canonical) pairing fast path
+    # a block that does not start at player 1, above two unblocked pairs
     members = frozenset({5, 6, 7, 8})
-    params = PartialStrategyParams(
-        members, 0, 3, canonical_pairing(8).restricted_to(members)
-    )
+    params = PartialStrategyParams(members, 0, 3)
     strategy = partial_profile(params, 8)
     for mask in range(1 << 8):
         record = evaluate(strategy, HatDistribution(8, mask))
@@ -547,9 +572,7 @@ def test_offset_block_bulk_matches_per_player():
 def test_offset_block_rule_bulk():
     # the bare block rule's bulk path must set bits at the offset positions
     members = frozenset({5, 6, 7, 8})
-    params = PartialStrategyParams(
-        members, 0, 3, canonical_pairing(8).restricted_to(members)
-    )
+    params = PartialStrategyParams(members, 0, 3)
     rule = partial_strategy(params)
     for mask in range(1 << 8):
         d = HatDistribution(8, mask)
