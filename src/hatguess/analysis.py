@@ -47,6 +47,7 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import sub
@@ -64,7 +65,8 @@ from .core import (
 
 EXACT_TOTAL_MAX_N = 14
 SEARCH_MAX_N = 3
-IDENTITY_MAX_N = 4096  # n + 1 binomials of n bits: 1.4 s at 4096, 9.8 s at 8192 (2 vCPU)
+# identity and Robbins checks; n + 1 binomials of n bits: 1.4 s at 4096, 9.8 s at 8192 (2 vCPU)
+IDENTITY_MAX_N = 4096
 
 # An exhaustive sweep may cost this many units: one unit is a bulk call or a
 # byte of the orbit sweep's packed histogram state.  The bit sweep reaches it
@@ -738,13 +740,16 @@ def lower_bound_loss(n: int) -> float:
 def robbins_check(n: int) -> bool:
     """Exact C(n, n/2) against the floor 2^n * sqrt(2/(pi*n)) * exp(-1/(3n)).
 
-    The exact central binomial is a big integer; only the floor formula is
-    floating point.  Python compares int to float exactly.
+    The exact central binomial is a big integer; only the floor's factor
+    after 2^n is floating point, and it is scaled by 2^n as an exact
+    fraction, since 2^n overflows a float from n = 1024 on.
     """
     if n < 2 or n % 2:
         raise ContractError(f"need a positive even n, got {n}")
-    bound = (1 << n) * math.sqrt(2 / (math.pi * n)) * math.exp(-1 / (3 * n))
-    return math.comb(n, n // 2) >= bound
+    if n > IDENTITY_MAX_N:
+        raise CapacityError(f"the Robbins check is capped at n <= {IDENTITY_MAX_N}, got {n}")
+    factor = math.sqrt(2 / (math.pi * n)) * math.exp(-1 / (3 * n))
+    return math.comb(n, n // 2) >= (1 << n) * Fraction(factor)
 
 
 @dataclass(frozen=True)
@@ -899,18 +904,22 @@ def monte_carlo(
     """
     if strategy.n != n:
         raise ContractError(f"strategy is for n={strategy.n}, asked to sample n={n}")
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ContractError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ContractError(f"need at least one trial, got {trials}")
     _check_workers(workers)
     if red_count == "uniform":
         red_count = None
     if red_count is not None:
+        # an int or its decimal text (the CLI's); a float or a bool is not a count
+        bad = ContractError(f"red count must be an integer or 'uniform', got {red_count!r}")
+        if isinstance(red_count, bool) or not isinstance(red_count, (int, str)):
+            raise bad
         try:
             red_count = int(red_count)
-        except (TypeError, ValueError):
-            raise ContractError(
-                f"red count must be an integer or 'uniform', got {red_count!r}"
-            ) from None
+        except ValueError:
+            raise bad from None
         if not 0 <= red_count <= n:
             raise ContractError(f"red count {red_count} out of 0..{n}")
     payloads = []

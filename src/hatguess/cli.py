@@ -47,7 +47,8 @@ from .strategies import (
 )
 
 STRATEGY_NAMES = ("pairing", "majority", "composite", "partial")
-MAX_N = 4096  # --n of bounds, plan, sample and sweep; bounds plans every even n: 1.6 s at 4096
+# --n of bounds, plan, sample and sweep; bounds plans every even n: 0.7-1.0 s at 4096 (2 vCPU)
+MAX_N = 4096
 MAX_TRIALS = 10**6  # a uniform trial takes 16-20 us at n = 4096 (2 vCPU): ~20 s at the caps
 
 

@@ -196,15 +196,6 @@ class PartialStrategyParams:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def pairing(self) -> Pairing:
-        """The canonical pairs of the members."""
-        return Pairing(tuple((p, p + 1) for p in sorted(self.members) if p % 2))
-
-    @property
-    def members_mask(self) -> int:
-        return mask_of(self.members)
-
 
 class BlockThresholdRule:
     """The block rule S(T, a, b) on every block of a game, and the pairing
@@ -220,16 +211,19 @@ class BlockThresholdRule:
     ``thresholds`` either fixes (blue_max, red_min) per block (the partial
     strategy) or is a plan (the composite).  A plan's rule plays the plan's
     own blocks, every pair lies inside one of them, and each block reads
-    its thresholds from the hats outside it via compute_thresholds.  The
-    modular offset in those thresholds lets at most one block (the one
-    indexed by the total red count mod k) land in its two bad cases.
+    its thresholds from the red count outside it via compute_thresholds.
+    The modular offset in those thresholds lets at most one block (the one
+    indexed by the total red count mod k) land in its two bad cases.  The
+    rule is the only owner of the block masks: it builds each block's mask
+    and, for a plan, its outside mask once, here.
 
     The bulk path plays the pairing with two shifts and two masks per
     distance y - x between partners (the canonical pairing has the single
     distance 1).  It looks each block's thresholds up in a table built once
     here, indexed by the outside red count modulo its length: a plan's
     thresholds repeat every k, fixed ones never change.  The per-player
-    path still derives them through compute_thresholds, as the cross-check.
+    path counts the outside hats in the observer's view and still derives
+    the thresholds through compute_thresholds, as the cross-check.
     """
 
     def __init__(
@@ -241,6 +235,7 @@ class BlockThresholdRule:
         plan = self.plan = thresholds if isinstance(thresholds, PartitionPlan) else None
         self.pairing = pairing
         self._block_of = {p: i for i, block in enumerate(blocks) for p in block}
+        masks = tuple(map(mask_of, blocks))
         if plan is None:
             tables = [(pair,) for pair in thresholds]
         else:
@@ -253,7 +248,8 @@ class BlockThresholdRule:
                 tuple(compute_thresholds(o, plan, i) for o in range(plan.k))
                 for i in range(1, plan.k + 1)
             ]
-        self._blocks = tuple(zip(map(mask_of, blocks), tables))
+            self._outside = tuple(full_mask(plan.n) ^ m for m in masks)
+        self._blocks = tuple(zip(masks, tables))
         groups: dict[int, tuple[int, int]] = {}
         for x, y in pairing.pairs:
             xs, ys = groups.get(y - x, (0, 0))
@@ -270,12 +266,13 @@ class BlockThresholdRule:
         i = self._block_of.get(observer)
         if i is None:
             return self._pair_guess(observer, view)
-        block_mask, table = self._blocks[i]
+        inside, table = self._blocks[i]
         if self.plan is None:
             blue_max, red_min = table[0]
         else:
-            blue_max, red_min = compute_thresholds(view, self.plan, i + 1)
-        visible_reds = view.count_red(block_mask ^ (1 << (observer - 1)))
+            outside_reds = view.count_red(self._outside[i])
+            blue_max, red_min = compute_thresholds(outside_reds, self.plan, i + 1)
+        visible_reds = view.count_red(inside ^ (1 << (observer - 1)))
         if visible_reds >= red_min:
             return Color.RED
         if visible_reds <= blue_max:
@@ -287,12 +284,12 @@ class BlockThresholdRule:
         """Each block is a part of its pairs, each unblocked pair a part of
         its own.  A plan's block reads the red total R mod k (its outside
         count is that minus its own), a fixed block reads nothing."""
-        block_of = self._block_of.get
+        index_of = self._block_of.get
         cells: list[list[tuple[int, int]]] = [[] for _ in self._blocks]
         loose = []
         for x, y in self.pairing.pairs:
-            i = block_of(x)
-            if i != block_of(y):
+            i = index_of(x)
+            if i != index_of(y):
                 return None  # a pair across two fixed blocks ties their guesses together
             if i is None:
                 loose.append(Part(((x, y),), 1))
@@ -311,27 +308,20 @@ class BlockThresholdRule:
                 pairing_g |= (red_mask << -d) & xs | (~red_mask >> -d) & ys
         r = (red_mask & self._covered).bit_count()
         g = pairing_g & self._unblocked
-        for block_mask, table in self._blocks:
-            reds = red_mask & block_mask
+        for inside, table in self._blocks:
+            reds = red_mask & inside
             c = reds.bit_count()
             blue_max, red_min = table[(r - c) % len(table)]
             # red wearers see c-1 red hats in the block, blue wearers see c
             if c > red_min:  # everyone calls red
-                g |= block_mask
+                g |= inside
             elif c > blue_max + 1:  # red wearers play the pairing, blue ones too below red_min
-                g |= pairing_g & block_mask if c < red_min else pairing_g & reds | block_mask ^ reds
+                g |= pairing_g & inside if c < red_min else pairing_g & reds | inside ^ reds
             elif c == red_min:  # thresholds closer than 2: red wearers call blue, blue ones red
-                g |= block_mask ^ reds
+                g |= inside ^ reds
             elif c > blue_max:  # red wearers call blue, blue ones play the pairing
-                g |= pairing_g & (block_mask ^ reds)
+                g |= pairing_g & (inside ^ reds)
         return g
-
-
-def partial_strategy(params: PartialStrategyParams) -> BlockThresholdRule:
-    """Guess rule for the members of one block (raises for other observers)."""
-    return BlockThresholdRule(
-        params.pairing, (params.members,), ((params.blue_max, params.red_min),)
-    )
 
 
 def partial_profile(params: PartialStrategyParams, n: int) -> StrategyProfile:
@@ -360,7 +350,7 @@ def lemma_table_bound(distribution: HatDistribution, params: PartialStrategyPara
     """
     t = params.size
     half = t // 2
-    c = distribution.count_red(params.members_mask)
+    c = distribution.count_red(mask_of(params.members))
     m = max(c, t - c)
     if c > params.red_min:
         return m
@@ -375,11 +365,11 @@ def lemma_table_bound(distribution: HatDistribution, params: PartialStrategyPara
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Blocks T_1..T_k of even sizes covering 1..n.
+    """Blocks T_1..T_k of even sizes covering 1..n, and nothing else.
 
     The first ``large_blocks`` blocks share the larger of the two sizes,
     which is the smaller one plus 0 or 2; n, k and that split are read off
-    the blocks.
+    the blocks.  A plan builds no masks: the rule that plays it does.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -401,10 +391,6 @@ class PartitionPlan:
         expected = (big,) * self.large_blocks + (small,) * (self.k - self.large_blocks)
         if sizes != expected or big - small not in (0, 2):
             raise ContractError(f"block sizes {sizes} do not follow the large/small split")
-        masks = tuple(mask_of(b) for b in self.blocks)
-        object.__setattr__(self, "_masks", masks)
-        full = full_mask(self.n)
-        object.__setattr__(self, "_outside", tuple(full ^ m for m in masks))
 
     @property
     def n(self) -> int:
@@ -422,19 +408,6 @@ class PartitionPlan:
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
-
-    def block_mask(self, block_index: int) -> int:
-        return self._masks[block_index - 1]  # type: ignore[attr-defined]
-
-    def outside_mask(self, block_index: int) -> int:
-        return self._outside[block_index - 1]  # type: ignore[attr-defined]
-
-    def block_of(self, player: int) -> int:
-        """1-based index of the block containing ``player``."""
-        for index, block in enumerate(self.blocks, start=1):
-            if player in block:
-                return index
-        raise ContractError(f"player {player} out of range 1..{self.n}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -476,28 +449,20 @@ def make_partition(n: int) -> PartitionPlan:
     return PartitionPlan(tuple(blocks))
 
 
-def compute_thresholds(
-    source: VisibleView | int, plan: PartitionPlan, block_index: int
-) -> tuple[int, int]:
+def compute_thresholds(outside_reds: int, plan: PartitionPlan, block_index: int) -> tuple[int, int]:
     """Thresholds (blue_max, red_min) for one block of the composite.
 
     red_min is the smallest value >= |T_i|/2 with
     outside_reds + red_min == block_index (mod k);
-    blue_max = red_min - k - 1.  The outside red count is read either from
-    a member's view (it never includes their own hat) or given directly,
-    so every member of the block derives the same pair.
+    blue_max = red_min - k - 1.  The count of red hats outside the block is
+    the same for every member of the block (none of them is outside it), so
+    every member derives the same pair.
     """
     if not 1 <= block_index <= plan.k:
         raise ContractError(f"block index {block_index} out of 1..{plan.k}")
-    if isinstance(source, VisibleView):
-        outside_reds = source.count_red(plan.outside_mask(block_index))
-    else:
-        outside_reds = source
-        outside_size = plan.n - len(plan.blocks[block_index - 1])
-        if not 0 <= outside_reds <= outside_size:
-            raise ContractError(
-                f"outside red count {outside_reds} out of 0..{outside_size}"
-            )
+    outside_size = plan.n - len(plan.blocks[block_index - 1])
+    if not 0 <= outside_reds <= outside_size:
+        raise ContractError(f"outside red count {outside_reds} out of 0..{outside_size}")
     half = len(plan.blocks[block_index - 1]) // 2
     red_min = half + (block_index - outside_reds - half) % plan.k
     return red_min - plan.k - 1, red_min

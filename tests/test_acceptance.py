@@ -22,10 +22,10 @@ from hatguess import (
     lower_bound_loss,
     majority_strategy,
     make_partition,
+    mask_of,
     monte_carlo,
     pairing_strategy,
     partial_profile,
-    partial_strategy,
     robbins_check,
     search_optimal,
     total_correct_over_omega,
@@ -111,7 +111,7 @@ def test_criterion_5_block_rule_table():
                 if blue_max + 2 > red_min:
                     continue
                 params = block_params(size, blue_max, red_min)
-                rule = partial_strategy(params)
+                rule = partial_profile(params, size).guess_rule
                 from hatguess import lemma_table_bound
 
                 for mask in range(1 << size):
@@ -138,10 +138,9 @@ def test_criterion_6_at_most_one_block_fails():
             r = d.red_count
             failing = []
             for i in range(1, k + 1):
-                blue_max, red_min = compute_thresholds(
-                    r - d.count_red(plan.block_mask(i)), plan, i
-                )
-                if d.count_red(plan.block_mask(i)) in (blue_max + 1, red_min):
+                inside = d.count_red(mask_of(plan.blocks[i - 1]))
+                blue_max, red_min = compute_thresholds(r - inside, plan, i)
+                if inside in (blue_max + 1, red_min):
                     failing.append(i)
             assert len(failing) <= 1, (n, d.to_text())
             if failing:

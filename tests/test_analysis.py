@@ -175,6 +175,11 @@ def test_robbins_check():
         robbins_check(7)
     floor4 = 2**4 * math.sqrt(2 / (math.pi * 4)) * math.exp(-1 / 12)
     assert math.comb(4, 2) >= floor4 > 5.87
+    # 2^n overflows a float from n = 1024 on; the floor is still compared exactly
+    assert robbins_check(1024)
+    assert robbins_check(4096)
+    with pytest.raises(CapacityError):
+        robbins_check(4098)
 
 
 # ----------------------------------------------------------------------
@@ -348,5 +353,11 @@ def test_monte_carlo_validation():
         monte_carlo(strategy, 10, trials=10, seed=1, red_count=-1)
     with pytest.raises(ContractError):
         monte_carlo(strategy, 10, trials=10, seed=1, red_count="most")
+    for red_count in (3.7, 3.0, True):  # not a count, though int() makes 3, 3 and 1 of them
+        with pytest.raises(ContractError, match="red count"):
+            monte_carlo(strategy, 10, trials=10, seed=1, red_count=red_count)
+    for trials in (2.5, True):
+        with pytest.raises(ContractError, match="trials"):
+            monte_carlo(strategy, 10, trials=trials, seed=1)
     with pytest.raises(ContractError):
         monte_carlo(strategy, 12, trials=10, seed=1)

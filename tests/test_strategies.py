@@ -23,8 +23,8 @@ from hatguess import (
     make_partition,
     pairing_strategy,
     partial_profile,
-    partial_strategy,
 )
+from hatguess import strategies
 from hatguess.core import full_mask, mask_of
 from hatguess.strategies import BlockThresholdRule
 from test_factored_sweep import chain_pairing
@@ -150,8 +150,8 @@ def test_partial_params_pairing_must_match():
 
 
 def in_block_record(params, text):
-    rule = partial_strategy(params)
     d = HatDistribution.from_text(text)
+    rule = partial_profile(params, d.n).guess_rule
     guesses = {i: rule(i, VisibleView(d, i)) for i in sorted(params.members)}
     correct = [i for i, g in guesses.items() if g is d.color_of(i)]
     return guesses, correct
@@ -183,9 +183,9 @@ def test_partial_rule_middle_plays_pairing():
 
 
 def test_partial_rule_rejects_outsider():
-    params = block_params(4, 0, 3)
+    # a block rule whose pairing covers players 1..4 only: player 5 has no partner
+    rule = BlockThresholdRule(canonical_pairing(4), (frozenset(range(1, 5)),), ((0, 3),))
     d = HatDistribution.from_text("RRBBRB")
-    rule = partial_strategy(params)
     with pytest.raises(ContractError):
         rule(5, VisibleView(d, 5))
 
@@ -216,7 +216,7 @@ def test_lemma_table_is_sound(size):
             if blue_max + 2 > red_min:
                 continue
             params = block_params(size, blue_max, red_min)
-            rule = partial_strategy(params)
+            rule = partial_profile(params, size).guess_rule
             for mask in range(1 << size):
                 d = HatDistribution(size, mask)
                 cor = sum(
@@ -294,9 +294,17 @@ def test_partition_plan_rejects_malformed():
     split = PartitionPlan(((1, 2, 3, 6), (4, 5, 7, 8)))
     with pytest.raises(ContractError, match="straddles"):  # block boundary splits pair (3, 4)
         BlockThresholdRule(canonical_pairing(8), split.blocks, split)
-    assert good.block_of(5) == 2
-    with pytest.raises(ContractError):
-        good.block_of(9)
+
+
+def test_plan_and_bound_build_no_masks(monkeypatch):
+    # a plan is only its blocks: the rule that plays it owns the masks
+    def refuse(players):
+        raise AssertionError("mask_of called")
+
+    monkeypatch.setattr(strategies, "mask_of", refuse)
+    plan = make_partition(4096)
+    assert plan.block_sizes == (374,) * 2 + (372,) * 9
+    assert guarantee_bound(4096, plan).structural_loss == 187 + 10**2
 
 
 def test_plan_json_shape():
@@ -337,17 +345,19 @@ def test_compute_thresholds_block_index_range():
 
 
 def test_thresholds_agree_across_observers():
-    # every member of a block derives the same thresholds from their own view
+    # every member of a block counts the same outside hats in their own view,
+    # so derives the same thresholds
     rng = random.Random(1)
     plan = make_partition(12)
     for _ in range(50):
         d = HatDistribution(12, rng.getrandbits(12))
         for i in range(1, plan.k + 1):
             block = plan.blocks[i - 1]
-            outside = d.count_red(plan.outside_mask(i))
-            expected = compute_thresholds(outside, plan, i)
+            outside_mask = full_mask(12) ^ mask_of(block)
+            expected = compute_thresholds(d.count_red(outside_mask), plan, i)
             for member in block:
-                assert compute_thresholds(VisibleView(d, member), plan, i) == expected
+                seen = VisibleView(d, member).count_red(outside_mask)
+                assert compute_thresholds(seen, plan, i) == expected
 
 
 # ----------------------------------------------------------------------
@@ -573,14 +583,14 @@ def test_offset_block_rule_bulk():
     # the bare block rule's bulk path must set bits at the offset positions
     members = frozenset({5, 6, 7, 8})
     params = PartialStrategyParams(members, 0, 3)
-    rule = partial_strategy(params)
+    rule = partial_profile(params, 8).guess_rule
     for mask in range(1 << 8):
         d = HatDistribution(8, mask)
         expected = 0
         for i in sorted(members):
             if rule(i, VisibleView(d, i)) is Color.RED:
                 expected |= 1 << (i - 1)
-        assert rule.bulk_guesses(mask) == expected, bin(mask)
+        assert rule.bulk_guesses(mask) & mask_of(members) == expected, bin(mask)
 
 
 def test_builtin_rules_pickle():
