@@ -1,9 +1,10 @@
 """Exhaustive and sampled verification of strategy guarantees.
 
 Sweeps walk every distribution of n hats (or a seeded sample of them),
-score a strategy on each, and reduce to a worst-case report: the minimum
-correct count, the worst shortfall below max{r, b} with a witness, a
-histogram, and the exact total over all distributions.
+score a strategy on each, and reduce to a worst-case report: the worst
+shortfall below max{r, b} with a witness, and the histogram of correct
+guesses, off which the minimum correct count, the number of distributions
+and their exact total are read.
 
 An exhaustive sweep of a rule that declares its ``parts`` (the contract
 is on ``StrategyProfile``) runs over orbits, in one process.  Inside a
@@ -34,7 +35,8 @@ Alongside the sweeps sit the exact combinatorial checks: the averaging
 identity (every no-peek strategy totals n * 2^(n-1) correct guesses over
 all distributions), its binomial-sum form, the central-binomial floor
 behind the impossibility bound, and a complete strategy-space search for
-game sizes small enough to enumerate.
+game sizes small enough to enumerate, which scores each profile through
+the sweeps' reducer.
 
 Exact integer arithmetic everywhere a claim is an identity; floating
 point only for the transcendental bound formulas.
@@ -51,7 +53,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import sub
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     CapacityError,
@@ -80,17 +82,34 @@ _SAMPLE_CHUNK = 1024  # fixed so reports do not depend on the worker count
 
 @dataclass(frozen=True)
 class WorstCaseReport:
-    """Outcome of evaluating one strategy over many distributions."""
+    """Outcome of evaluating one strategy over many distributions.
+
+    A sweep keeps the worst loss, its witness and the histogram of correct
+    guesses; the fewest correct guesses, the distributions evaluated and
+    their total are read off the histogram.  A sampled sweep reports no
+    total, since its samples are not the whole space.
+    """
 
     strategy_name: str
     n: int
     mode: str  # "exhaustive" | "sampled"
-    min_correct: int
     worst_loss: int
     witness: HatDistribution
     histogram: dict[int, int]
-    total_correct: int | None
-    evaluated: int
+
+    @property
+    def min_correct(self) -> int:
+        return min(self.histogram)
+
+    @property
+    def evaluated(self) -> int:
+        return sum(self.histogram.values())
+
+    @property
+    def total_correct(self) -> int | None:
+        if self.mode == "sampled":
+            return None
+        return sum(c * k for c, k in self.histogram.items())
 
     def to_json_dict(self) -> dict:
         d = {
@@ -116,42 +135,39 @@ class WorstCaseReport:
 class _Partial(NamedTuple):
     """Mergeable piece of a sweep; merge in index order."""
 
-    min_correct: int
     worst_loss: int
     witness_red_mask: int
-    histogram: list[int]
-    total: int
-    evaluated: int
+    histogram: list[int]  # histogram[c]: distributions with c correct guesses
 
 
 def _merge_partials(first: _Partial, second: _Partial) -> _Partial:
     hist = [a + b for a, b in zip(first.histogram, second.histogram)]
-    worst, witness = first.worst_loss, first.witness_red_mask
-    if second.worst_loss > worst:  # ties keep the earlier witness
-        worst, witness = second.worst_loss, second.witness_red_mask
-    return _Partial(
-        min(first.min_correct, second.min_correct),
-        worst,
-        witness,
-        hist,
-        first.total + second.total,
-        first.evaluated + second.evaluated,
-    )
+    if second.worst_loss > first.worst_loss:  # ties keep the earlier witness
+        return _Partial(second.worst_loss, second.witness_red_mask, hist)
+    return _Partial(first.worst_loss, first.witness_red_mask, hist)
 
 
-def _reduce(strategy: StrategyProfile, n: int, red_masks: Iterable[int]) -> _Partial:
-    """Score each distribution in ``red_masks``; ties in worst loss keep the earliest."""
-    full = full_mask(n)
+def _report(strategy: StrategyProfile, mode: str, part: _Partial) -> WorstCaseReport:
+    witness = HatDistribution(strategy.n, part.witness_red_mask)
+    hist = {c: k for c, k in enumerate(part.histogram) if k}
+    return WorstCaseReport(strategy.name, strategy.n, mode, part.worst_loss, witness, hist)
+
+
+def _scorer(strategy: StrategyProfile, n: int) -> Callable[[int], int]:
+    """correct(red_mask): the correct guesses at a distribution, through the
+    bulk rule where the strategy has one and per player otherwise."""
     bulk = strategy.bulk
     if bulk is None:
-        def correct(red_mask: int) -> int:
-            return evaluate(strategy, HatDistribution(n, red_mask)).correct_count
-    else:
-        def correct(red_mask: int) -> int:
-            return (~(bulk(red_mask) ^ red_mask) & full).bit_count()
+        return lambda red_mask: evaluate(strategy, HatDistribution(n, red_mask)).correct_count
+    full = full_mask(n)
+    return lambda red_mask: (~(bulk(red_mask) ^ red_mask) & full).bit_count()
+
+
+def _reduce(correct: Callable[[int], int], n: int, red_masks: Iterable[int]) -> _Partial:
+    """Score each distribution in ``red_masks`` with ``correct``; ties in worst
+    loss keep the earliest."""
     hist = [0] * (n + 1)
-    worst_loss = -1
-    witness = 0
+    worst_loss, witness = -1, 0
     for red_mask in red_masks:
         cor = correct(red_mask)
         hist[cor] += 1
@@ -160,13 +176,7 @@ def _reduce(strategy: StrategyProfile, n: int, red_masks: Iterable[int]) -> _Par
         if loss > worst_loss:
             worst_loss = loss
             witness = red_mask
-    return _finish(hist, worst_loss, witness)
-
-
-def _finish(hist: list[int], worst_loss: int, witness: int) -> _Partial:
-    min_correct = next((c for c, k in enumerate(hist) if k), len(hist))
-    total = sum(c * k for c, k in enumerate(hist))
-    return _Partial(min_correct, worst_loss, witness, hist, total, sum(hist))
+    return _Partial(worst_loss, witness, hist)
 
 
 def _sweep_chunk(payload: tuple[StrategyProfile, int, int, int]) -> _Partial:
@@ -176,7 +186,7 @@ def _sweep_chunk(payload: tuple[StrategyProfile, int, int, int]) -> _Partial:
     the all-red distribution.
     """
     strategy, n, lo, hi = payload
-    return _reduce(strategy, n, map(full_mask(n).__xor__, range(lo, hi)))
+    return _reduce(_scorer(strategy, n), n, map(full_mask(n).__xor__, range(lo, hi)))
 
 
 def _check_parts(strategy: StrategyProfile, n: int) -> tuple[Part, ...]:
@@ -446,14 +456,14 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
             f"scores {got} and the per-player rule {per_player}; the rule's parts "
             f"declaration does not hold"
         )
-    part = _finish(hist, worst, red)
-    if part.evaluated != 1 << n or part.total != n << (n - 1):
+    evaluated, total = sum(hist), sum(c * k for c, k in enumerate(hist))
+    if evaluated != 1 << n or total != n << (n - 1):
         raise ContractError(
-            f"{strategy.name}: the orbit sweep counted {part.evaluated} distributions and "
-            f"{part.total} correct guesses, not 2^{n} and {n} * 2^{n - 1}; the rule's "
+            f"{strategy.name}: the orbit sweep counted {evaluated} distributions and "
+            f"{total} correct guesses, not 2^{n} and {n} * 2^{n - 1}; the rule's "
             f"parts declaration does not hold"
         )
-    return part
+    return _Partial(worst, red, hist)
 
 
 def _add_slots(hist: list[int], packed: int, size: int) -> None:
@@ -604,8 +614,8 @@ def _ranges(count: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ContractError(f"need at least one worker, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ContractError(f"need at least one worker, as an integer, got {workers!r}")
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -672,17 +682,7 @@ def exhaustive_worst_case(
     else:
         payloads = [(strategy, n, lo, hi) for lo, hi in _ranges(1 << n, workers)]
         part = _run_chunks(payloads, _sweep_chunk, workers)
-    return WorstCaseReport(
-        strategy_name=strategy.name,
-        n=n,
-        mode="exhaustive",
-        min_correct=part.min_correct,
-        worst_loss=part.worst_loss,
-        witness=HatDistribution(n, part.witness_red_mask),
-        histogram={c: k for c, k in enumerate(part.histogram) if k},
-        total_correct=part.total,
-        evaluated=part.evaluated,
-    )
+    return _report(strategy, "exhaustive", part)
 
 
 def total_correct_over_omega(strategy: StrategyProfile, n: int) -> int:
@@ -783,34 +783,17 @@ def search_optimal(n: int) -> OptimalReport:
             f"strategy space has (2^(2^{n - 1}))^{n} profiles; capped at n <= {SEARCH_MAX_N}"
         )
     views = 1 << (n - 1)
-    keys = [
-        [_view_key(red_mask, pos) for pos in range(n)] for red_mask in range(1 << n)
-    ]
-    losses = [
-        max(r.bit_count(), n - r.bit_count()) for r in range(1 << n)
-    ]
-    best_min = -1
-    best_loss = n + 1
-    enumerated = 0
-    for tables in product(range(1 << views), repeat=n):
-        enumerated += 1
-        low = n + 1
-        high_loss = -1
-        for red_mask in range(1 << n):
-            key_row = keys[red_mask]
-            cor = 0
-            for pos in range(n):
-                if (tables[pos] >> key_row[pos]) & 1 == (red_mask >> pos) & 1:
-                    cor += 1
-            if cor < low:
-                low = cor
-            loss = losses[red_mask] - cor
-            if loss > high_loss:
-                high_loss = loss
-        if low > best_min:
-            best_min = low
-        if high_loss < best_loss:
-            best_loss = high_loss
+    best_min, best_loss = -1, n + 1
+    for enumerated, tables in enumerate(product(range(1 << views), repeat=n), 1):
+        def correct(red_mask: int) -> int:
+            return sum(
+                tables[pos] >> _view_key(red_mask, pos) & 1 == red_mask >> pos & 1
+                for pos in range(n)
+            )
+
+        part = _reduce(correct, n, range(1 << n))
+        best_min = max(best_min, next(c for c, k in enumerate(part.histogram) if k))
+        best_loss = min(best_loss, part.worst_loss)
     return OptimalReport(n, best_min, best_loss, enumerated)
 
 
@@ -884,7 +867,8 @@ def _sample_chunk(
 ) -> _Partial:
     strategy, n, red_count, seed, chunk_index, count = payload
     rng = random.Random(_child_seed(seed, chunk_index))
-    return _reduce(strategy, n, (_random_red_mask(rng, n, red_count) for _ in range(count)))
+    masks = (_random_red_mask(rng, n, red_count) for _ in range(count))
+    return _reduce(_scorer(strategy, n), n, masks)
 
 
 def monte_carlo(
@@ -926,15 +910,4 @@ def monte_carlo(
     for chunk_index, lo in enumerate(range(0, trials, _SAMPLE_CHUNK)):
         count = min(_SAMPLE_CHUNK, trials - lo)
         payloads.append((strategy, n, red_count, seed, chunk_index, count))
-    part = _run_chunks(payloads, _sample_chunk, workers)
-    return WorstCaseReport(
-        strategy_name=strategy.name,
-        n=n,
-        mode="sampled",
-        min_correct=part.min_correct,
-        worst_loss=part.worst_loss,
-        witness=HatDistribution(n, part.witness_red_mask),
-        histogram={c: k for c, k in enumerate(part.histogram) if k},
-        total_correct=None,
-        evaluated=part.evaluated,
-    )
+    return _report(strategy, "sampled", _run_chunks(payloads, _sample_chunk, workers))

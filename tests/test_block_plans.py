@@ -12,12 +12,13 @@ from hatguess import (
     Color,
     HatDistribution,
     PartitionPlan,
-    composite_strategy,
+    StrategyProfile,
+    canonical_pairing,
     evaluate,
     exhaustive_worst_case,
     guarantee_bound,
 )
-from hatguess import strategies
+from hatguess.strategies import BlockThresholdRule
 
 # (n, k) -> (exact worst loss, structural bound); equal-sized blocks
 PINNED = {(12, 3): (5, 6), (16, 4): (7, 11), (18, 3): (6, 7)}
@@ -30,13 +31,13 @@ def equal_plan(n, k):
 
 
 @pytest.fixture
-def plan_composite(monkeypatch):
-    """composite_strategy(n) built on a hand-built plan instead of the default one."""
+def plan_composite():
+    """The composite's rule played on a hand-built plan instead of the default one."""
 
     def build(n, k):
         plan = equal_plan(n, k)
-        monkeypatch.setattr(strategies, "make_partition", lambda _n: plan)
-        strategy = composite_strategy(n)
+        rule = BlockThresholdRule(canonical_pairing(n), plan.blocks, plan)
+        strategy = StrategyProfile(n, rule, "composite")
         assert strategy.guess_rule.plan is plan
         return plan, strategy
 

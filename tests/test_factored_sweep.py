@@ -2,9 +2,9 @@
 
 Rules that declare ``parts`` are swept by scoring each part once per
 composition of its cell types and per value of the red total it reads.
-Every report here must equal, field for field, the bit sweep's
-(``_sweep_chunk`` over all 2^n distributions): min, worst loss, earliest
-witness, histogram, total and count.
+Every report here must equal, field for field, the report of the bit
+sweep (``_sweep_chunk`` over all 2^n distributions): worst loss, earliest
+witness and histogram, and so the min, total and count read off it.
 """
 
 import concurrent.futures
@@ -35,7 +35,7 @@ from hatguess import (
 )
 from hatguess import analysis, strategies
 from hatguess.core import full_mask
-from hatguess.analysis import _Partial, _sweep_chunk
+from hatguess.analysis import _sweep_chunk
 
 
 def refuse_bit_sweep(payload):
@@ -47,16 +47,8 @@ def assert_orbit_exact(monkeypatch, strategy, n, workers=1):
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_sweep_chunk", refuse_bit_sweep)
         report = exhaustive_worst_case(strategy, n, workers=workers)
-    got = _Partial(
-        report.min_correct,
-        report.worst_loss,
-        report.witness.red_mask,
-        [report.histogram.get(c, 0) for c in range(n + 1)],
-        report.total_correct,
-        report.evaluated,
-    )
     assert report.mode == "exhaustive"
-    assert got == want
+    assert report == analysis._report(strategy, "exhaustive", want)
 
 
 @pytest.mark.parametrize("n", range(2, 17, 2))
@@ -85,8 +77,10 @@ def equal_plan(n, k):
 @pytest.mark.parametrize("n,k", [(12, 3), (16, 4), (18, 3), (12, 6), (16, 2)])
 def test_hand_built_plans(monkeypatch, n, k, spectator):
     plan = equal_plan(n, k)
-    monkeypatch.setattr(strategies, "make_partition", lambda _n: plan)
-    strategy = composite_strategy(n + spectator)
+    rule = strategies.BlockThresholdRule(canonical_pairing(n), plan.blocks, plan)
+    if spectator:
+        rule = strategies.SpectatorCompositeRule(n + 1, rule)
+    strategy = StrategyProfile(n + spectator, rule, "composite")
     assert_orbit_exact(monkeypatch, strategy, n + spectator)
 
 
@@ -198,7 +192,7 @@ def test_blocks_tied_by_a_pair_declare_no_parts():
     assert rule.parts is None
     strategy = StrategyProfile(4, rule, "tied-blocks")
     report = exhaustive_worst_case(strategy, 4)
-    assert (report.worst_loss, report.witness.red_mask) == _sweep_chunk((strategy, 4, 0, 16))[1:3]
+    assert (report.worst_loss, report.witness.red_mask) == _sweep_chunk((strategy, 4, 0, 16))[:2]
 
 
 class NoPool:

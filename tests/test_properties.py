@@ -143,16 +143,13 @@ def refuse_bit_sweep(payload):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(scattered_rules())
 def test_orbit_sweep_equals_the_bit_sweep_on_scattered_layouts(strategy):
-    """All six fields, the earliest witness among them."""
+    """The whole report, the earliest witness included."""
     n = strategy.n
     want = analysis._sweep_chunk((strategy, n, 0, 1 << n))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_sweep_chunk", refuse_bit_sweep)
         report = exhaustive_worst_case(strategy, n)
-    histogram = [report.histogram.get(c, 0) for c in range(n + 1)]
-    got = (report.min_correct, report.worst_loss, report.witness.red_mask, histogram,
-           report.total_correct, report.evaluated)
-    assert got == tuple(want)
+    assert report == analysis._report(strategy, "exhaustive", want)
 
 
 @st.composite

@@ -62,7 +62,7 @@ def test_run_chunks_starts_the_capped_pool(monkeypatch):
     assert capped == monte_carlo(strategy, 12, trials=5000, workers=1)
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("workers", [0, -1, 1.5, 2.0, True])
 def test_sweep_and_sample_reject_fewer_than_one_worker(workers):
     strategy = composite_strategy(12)
     with pytest.raises(ContractError, match="worker"):
