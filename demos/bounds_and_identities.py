@@ -41,9 +41,14 @@ def main():
     for n in (6, 32, 64):
         result = identity_check(n)
         print(f"  n={n:>2}: lhs = rhs = {result.lhs} -> {result.equal}")
+    result = identity_check(4096)
+    print(f"  n=4096 (the cap): lhs = rhs, {result.lhs.bit_length()}-bit integers -> {result.equal}")
+    assert result.equal
 
     print("\ncentral binomial floor holds for every even n up to 64:",
           all(robbins_check(n) for n in range(2, 65, 2)))
+    print("central binomial floor holds at n = 4096 (the cap):", robbins_check(4096))
+    assert robbins_check(4096)
 
     print("\nunavoidable worst-case loss (negative values are vacuous):")
     for n in (4, 16, 100, 10_000, 1_000_000):

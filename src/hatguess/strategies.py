@@ -33,7 +33,7 @@ per composition of cell types instead of every distribution.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Color,
@@ -368,46 +368,39 @@ class PartitionPlan:
     """Blocks T_1..T_k of even sizes covering 1..n, and nothing else.
 
     The first ``large_blocks`` blocks share the larger of the two sizes,
-    which is the smaller one plus 0 or 2; n, k and that split are read off
-    the blocks.  A plan builds no masks: the rule that plays it does.
+    which is the smaller one plus 0 or 2.  n, k, the sizes and that split
+    are read off the blocks once, here.  A plan builds no masks: the rule
+    that plays it does.
     """
 
     blocks: tuple[tuple[int, ...], ...]
+    n: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
+    block_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    large_blocks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ContractError(f"need k >= 2 blocks, got {self.k}")
-        seen: set[int] = set()
-        for block in self.blocks:
-            if len(block) < 2 or len(block) % 2:
-                raise ContractError(f"block sizes must be even and >= 2, got {len(block)}")
-            if seen & set(block):
-                raise ContractError("blocks overlap")
-            seen.update(block)
-        if seen != set(range(1, self.n + 1)):
+        sizes = tuple(map(len, self.blocks))
+        k = len(sizes)
+        if k < 2:
+            raise ContractError(f"need k >= 2 blocks, got {k}")
+        for size in sizes:
+            if size < 2 or size % 2:
+                raise ContractError(f"block sizes must be even and >= 2, got {size}")
+        n = sum(sizes)
+        players = set().union(*self.blocks)
+        if len(players) < n:
+            raise ContractError("blocks overlap")
+        if players != set(range(1, n + 1)):
             raise ContractError("blocks must cover exactly the players 1..n")
-        sizes = self.block_sizes
         big, small = sizes[0], sizes[-1]
-        expected = (big,) * self.large_blocks + (small,) * (self.k - self.large_blocks)
-        if sizes != expected or big - small not in (0, 2):
+        large = sizes.count(big)
+        if sizes != (big,) * large + (small,) * (k - large) or big - small not in (0, 2):
             raise ContractError(f"block sizes {sizes} do not follow the large/small split")
-
-    @property
-    def n(self) -> int:
-        return sum(self.block_sizes)
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def large_blocks(self) -> int:
-        sizes = self.block_sizes
-        return sizes.count(sizes[0])
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "large_blocks", large)
 
     def to_json_dict(self) -> dict:
         return {
@@ -427,23 +420,34 @@ def _block_count(n: int) -> int:
     return max(2, t)
 
 
-def make_partition(n: int) -> PartitionPlan:
-    """Size-balanced partition into k = max(2, cuberoot-ceiling of n/4) even blocks.
-
-    Blocks are consecutive index ranges, so each consists of whole
-    canonical pairs.  Needs n >= 4: two blocks of even size cannot be cut
-    out of fewer players.
-    """
+def _block_sizes(n: int) -> tuple[int, ...]:
+    """The size rule: k = max(2, cuberoot-ceiling of n/4) even sizes summing
+    to n, the larger ones first, each the smallest or largest even number
+    around n/k."""
     if n % 2 or n < 4:
         raise ContractError(f"partition needs an even n >= 4, got {n}")
     k = _block_count(n)
     big = 2 * ((n + 2 * k - 1) // (2 * k))  # smallest even >= n/k
     small = 2 * (n // (2 * k))              # largest even <= n/k
     large = (n - k * small) // 2  # 0 when big == small, and then every block is large
-    sizes = (big,) * large + (small,) * (k - large)
+    return (big,) * large + (small,) * (k - large)
+
+
+def _structural_loss(block_sizes: tuple[int, ...]) -> int:
+    """max_block/2 + (k-1)^2: the composite's loss bound on blocks of these sizes."""
+    return max(block_sizes) // 2 + (len(block_sizes) - 1) ** 2
+
+
+def make_partition(n: int) -> PartitionPlan:
+    """The plan of the size rule: blocks of ``_block_sizes(n)``.
+
+    Blocks are consecutive index ranges, so each consists of whole
+    canonical pairs.  Needs n >= 4: two blocks of even size cannot be cut
+    out of fewer players.
+    """
     blocks = []
     start = 1
-    for size in sizes:
+    for size in _block_sizes(n):
         blocks.append(tuple(range(start, start + size)))
         start += size
     return PartitionPlan(tuple(blocks))
@@ -548,6 +552,6 @@ def guarantee_bound(n: int, plan: PartitionPlan | None = None) -> GuaranteeBound
     if plan is not None:
         if plan.n != n:
             raise ContractError(f"plan is for n={plan.n}, asked about n={n}")
-        structural = max(plan.block_sizes) // 2 + (plan.k - 1) ** 2
+        structural = _structural_loss(plan.block_sizes)
     base = 1.2 * n ** (2.0 / 3.0)
     return GuaranteeBound(n, structural, base + 1.0, base + 2.0)

@@ -137,6 +137,13 @@ def test_identity_check_all_even_to_64():
         assert result.rhs == (1 << n) * n // 2
 
 
+def test_identity_check_matches_independent_binomials():
+    # the running binomial against n + 1 independent math.comb calls, exactly
+    for n in [*range(2, 513, 2), 1000, 2048, 4096]:
+        oracle = sum(math.comb(n, i) * max(i, n - i) for i in range(n + 1) if i != n // 2)
+        assert identity_check(n).lhs == oracle, n
+
+
 def test_identity_check_rejects_odd():
     with pytest.raises(ContractError):
         identity_check(5)

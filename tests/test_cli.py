@@ -2,13 +2,12 @@
 
 import io
 import json
-import math
 import shlex
 from pathlib import Path
 
 import pytest
 
-from hatguess import cli
+from hatguess import analysis, cli, strategies
 from hatguess.cli import build_parser, main, run
 
 
@@ -234,12 +233,36 @@ def test_main_runs_quietly(capsys):
     assert payload["equal"] is True
 
 
+def test_bounds_rows_follow_make_partition():
+    # one size rule: each row's sizes and loss are those of the plan it stands for
+    code, payload = invoke_json("bounds", "--n", "1024")
+    assert code == 0
+    for row in payload["rows"]:
+        plan = strategies.make_partition(row["n"])
+        bound = strategies.guarantee_bound(row["n"], plan)
+        assert (row["k"], row["max_block"], row["structural_loss"]) == (
+            plan.k, max(plan.block_sizes), bound.structural_loss
+        ), row["n"]
+    assert [row["n"] for row in payload["rows"]] == list(range(6, 1025, 2))
+
+
+def test_bounds_builds_no_plan(monkeypatch):
+    def no_plan(*args):
+        raise AssertionError("bounds built a partition plan")
+
+    monkeypatch.setattr(cli, "make_partition", no_plan)
+    monkeypatch.setattr(strategies.PartitionPlan, "__post_init__", no_plan)
+    code, payload = invoke_json("bounds", "--n", "4096")
+    assert code == 0 and len(payload["rows"]) == 2046
+
+
 def test_bounds_and_identity_caps_exit_2_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("the command started working above its cap")
 
-    monkeypatch.setattr(cli, "make_partition", no_work)
-    monkeypatch.setattr(math, "comb", no_work)
+    # the first work each command does after its cap check
+    monkeypatch.setattr(cli, "_block_sizes", no_work)
+    monkeypatch.setattr(analysis, "_binomial_row", no_work)
     for command in ("bounds", "identity"):
         code, out, err = invoke(command, "--n", "4098")
         assert (code, out) == (2, "")

@@ -291,6 +291,8 @@ def test_partition_plan_rejects_malformed():
         PartitionPlan(((1, 2, 3), (4, 5, 6, 7, 8)))
     with pytest.raises(ContractError):  # gap in the cover: players 5 and 6
         PartitionPlan(((1, 2, 3, 4), (7, 8)))
+    with pytest.raises(ContractError, match="overlap"):  # player 4 twice, player 8 nowhere
+        PartitionPlan(((1, 2, 3, 4), (4, 5, 6, 7)))
     split = PartitionPlan(((1, 2, 3, 6), (4, 5, 7, 8)))
     with pytest.raises(ContractError, match="straddles"):  # block boundary splits pair (3, 4)
         BlockThresholdRule(canonical_pairing(8), split.blocks, split)
