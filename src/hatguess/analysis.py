@@ -9,17 +9,20 @@ and their exact total are read.
 An exhaustive sweep of a rule that declares its ``parts`` (the contract
 is on ``StrategyProfile``) runs over orbits, in one process.  Inside a
 part the guesses depend only on how many of its cells are of each type and
-on what the part reads of the red total R, so the sweep calls the real
-bulk rule once per part, composition of cell types and read value.  It
-then combines the parts: a min-plus DP over R gives the worst loss and
-its witness, and products of polynomials with multinomial weights give
-the exact histogram.  The one player who may read R exactly, the odd-n
-spectator, is not counted in R and is right in exactly one of their two
-colors, so they join the histogram as a factor (1 + y).  The witness, the
-bit sweep's earliest worst distribution, is built once per residue of R
-that reaches the worst loss, fixing the players from the top, each red
-while some worst case still extends the hats fixed so far.  Every run checks
-on seeded masks that each part scores what its table says, checks that
+on what the part reads of the red total R, so the sweep reads each part's
+correct guesses per composition of cell types and read value off real
+bulk calls, most of them joint calls that place a composition in every
+part at once.  It then combines the parts: a min-plus DP over R gives
+the worst loss and its witness, and products of polynomials with
+multinomial weights give the exact histogram.  The one player who may
+read R exactly, the odd-n spectator, is not counted in R and is right in
+exactly one of their two colors, so they join the histogram as a factor
+(1 + y).  The witness, the
+bit sweep's earliest worst distribution, is found by fixing the players
+from the top, each red while some worst case still extends the hats fixed
+so far, for the residues of R that reach the worst loss in lockstep.
+Every run checks that an entry met by two joint calls matches, checks on
+seeded masks that each part scores what its table says, checks that
 spectator at every R, re-scores the witness through the bulk rule and per
 player, and requires the histogram to hold 2^n distributions and
 n * 2^(n-1) correct guesses.  The bit sweep, one bulk call per
@@ -51,9 +54,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 from operator import sub
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 from .core import (
     CapacityError,
@@ -221,9 +224,11 @@ def _check_parts(strategy: StrategyProfile, n: int) -> tuple[Part, ...]:
 
 
 def _orbit_cost(n: int, parts: tuple[Part, ...]) -> int:
-    """Bulk calls of the orbit sweep (compositions times read values, per
-    part; the exact reader reads n values of R) plus the bytes of its packed
-    histogram state."""
+    """An upper bound on the bulk calls of the orbit sweep (compositions
+    times read values, per part, the calls it would make one part at a time;
+    the exact reader reads n values of R) plus the bytes of its packed
+    histogram state.  Joint calls fill the entries of several parts at once,
+    so the sweep makes fewer."""
     calls = 0
     for part in parts:
         kinds = 1 << len(part.cells[0])
@@ -256,11 +261,12 @@ def _compositions(cells: int, kinds: int):
 
 
 class _PartTable(NamedTuple):
-    """One part scored through the bulk rule, once per composition of its
-    cell types and per value v of the red total R it reads: v = R mod k for
-    a part with modulus k >= 1, and R itself for the exact reader.
-    Compositions are indexed in ``_compositions`` order; _UNREACHABLE marks a
-    pair (v, composition) that no distribution has."""
+    """One part's correct guesses, per composition of its cell types and per
+    value v of the red total R it reads: v = R mod k for a part with modulus
+    k >= 1, and R itself for the exact reader.  Every entry is read off a
+    real bulk call (``_part_tables``).  Compositions are indexed in
+    ``_compositions`` order; _UNREACHABLE marks a pair (v, composition) that
+    no distribution has."""
 
     part: Part
     mask: int
@@ -281,85 +287,239 @@ class _PartTable(NamedTuple):
 _UNREACHABLE = 0xFFFF
 
 
-def _part_table(bulk, r_mask: int, part: Part) -> _PartTable:
-    """Call the bulk rule once per composition and read value on a
-    representative mask: the part's cells take their types in order, and the
-    lowest players outside the part that R counts (``r_mask``) are red as
-    often as v needs."""
-    cells = part.cells
-    arity = len(cells[0])
-    kinds = 1 << arity
-    roles = [[0] for _ in range(arity)]
-    for cell in cells:
-        for role, p in zip(roles, cell):
-            role.append(role[-1] | 1 << (p - 1))
-    mask = part.mask
-    rest = r_mask & ~mask
-    outs = [0]
-    needed = rest.bit_count() if part.modulus == 0 else min(part.modulus - 1, rest.bit_count())
-    for _ in range(needed):
-        bit = rest & -rest
-        outs.append(outs[-1] | bit)
-        rest ^= bit
-    reads = part.modulus or len(outs)
-    total = math.comb(len(cells) + kinds - 1, kinds - 1)
-    cor = [array("H", [_UNREACHABLE]) * total for _ in range(reads)]
-    best = [[_INF] * (mask.bit_count() + 1) for _ in range(reads)]
-    weights: list[dict[tuple[int, int], int]] = [{} for _ in range(reads)]
-    reds = array("H")
-    for i, (comp, weight) in enumerate(_compositions(len(cells), kinds)):
-        red = start = 0
-        for kind, count in enumerate(comp):
-            if count:
-                end = start + count
-                for role in range(arity):
-                    if not kind >> (arity - 1 - role) & 1:
-                        red |= roles[role][end] ^ roles[role][start]
-                start = end
-        c = red.bit_count()
-        reds.append(c)
-        for v in range(reads):
-            t = (v - c) % part.modulus if part.modulus else v
-            if t < len(outs):
-                both = red | outs[t]
-                k = cor[v][i] = (~(bulk(both) ^ both) & mask).bit_count()
-                if k < best[v][c]:
-                    best[v][c] = k
-                w = weights[v]
-                w[c, k] = w.get((c, k), 0) + weight
-    return _PartTable(part, mask, reds, cor, best, weights)
+def _members(roles: list[list[int]], r: int, big_k: int) -> Iterator[tuple[int, int, int]]:
+    """(index, red hats c, red mask) of each composition of a part whose c is
+    r mod big_k, in ``_compositions`` order.  The cells take their types in
+    order, and ``roles[b][j]`` holds the players of role b (the first or
+    second of a pair, or the single player) in the first j cells."""
+    if len(roles) == 1:
+        (ones,) = roles
+        cells = len(ones) - 1
+        for a in range(cells - (cells - r) % big_k, -1, -big_k):
+            yield cells - a, a, ones[a]
+        return
+    # a RR cells, b RB, c BR, then BB: x is red in the first a + b, y in the first a and the c BR
+    xs, ys = roles
+    cells = len(xs) - 1
+    index = 0
+    for a in range(cells, -1, -1):
+        for b in range(cells - a, -1, -1):
+            top, low = cells - a - b, 2 * a + b
+            for c in range(top - (top + low - r) % big_k, -1, -big_k):
+                yield index + top - c, low + c, xs[a + b] | ys[a] | (ys[a + b + c] ^ ys[a + b])
+            index += top + 1
+
+
+class _Filling:
+    """A part's table while ``_part_tables`` fills it.
+
+    For a part that reads R mod k, the compositions fall into classes by
+    their red hats c mod K (K the lcm of every such modulus).  ``left[v][r]``
+    counts the entries of read value v and class r not yet filled that some
+    distribution reaches (the class decides that: R - c, the counted red
+    hats outside the part, must be v - c mod k and at most their number),
+    ``walks[v][r]`` yields them in order, from ``_members``, and ``first[r]``
+    is the first composition of class r, None if it has none."""
+
+    def __init__(self, part: Part, r_mask: int, big_k: int):
+        self.part, self.mask, self.k = part, part.mask, part.modulus
+        self.roles = [[0] for _ in part.cells[0]]
+        for cell in part.cells:
+            for role, p in zip(self.roles, cell):
+                role.append(role[-1] | 1 << (p - 1))
+        cells = len(part.cells)
+        if len(self.roles) == 1:  # a R cells, a from cells down
+            self.reds = array("H", range(cells, -1, -1))
+        else:  # 2a + b + c at (a, b, c, d), c from cells - a - b down
+            self.reds = array("H")
+            for a in range(cells, -1, -1):
+                for b in range(cells - a, -1, -1):
+                    self.reds.extend(range(a + cells, 2 * a + b - 1, -1))
+        self.outside = r_mask & ~self.mask
+        rest = self.outside.bit_count()
+        self.cor = [array("H", [_UNREACHABLE]) * len(self.reds) for _ in range(self.k or rest + 1)]
+        if not self.k:  # the exact reader: every R up to rest, in either color
+            return
+        sizes = [0] * big_k
+        for c in self.reds:
+            sizes[c % big_k] += 1
+        self.left = [
+            [size if (v - r) % self.k <= rest else 0 for r, size in enumerate(sizes)]
+            for v in range(self.k)
+        ]
+        self.walks = [[_members(self.roles, r, big_k) for r in range(big_k)] for _ in range(self.k)]
+        self.first = [next(_members(self.roles, r, big_k), None) for r in range(big_k)]
+
+    def table(self) -> _PartTable:
+        reads = len(self.cor)
+        best = [[_INF] * (self.mask.bit_count() + 1) for _ in range(reads)]
+        weights: list[dict[tuple[int, int], int]] = [{} for _ in range(reads)]
+        rows = list(zip(self.cor, best, weights))
+        comps = _compositions(len(self.part.cells), 1 << len(self.roles))
+        for i, ((_, weight), c) in enumerate(zip(comps, self.reds)):
+            for cor, fewest, w in rows:
+                k = cor[i]
+                if k != _UNREACHABLE:
+                    if k < fewest[c]:
+                        fewest[c] = k
+                    w[c, k] = w.get((c, k), 0) + weight
+        return _PartTable(self.part, self.mask, self.reds, self.cor, best, weights)
+
+
+def _part_tables(
+    strategy: StrategyProfile, r_mask: int, parts: tuple[Part, ...]
+) -> list[_PartTable]:
+    """Every part's table, most entries read off joint bulk calls.
+
+    A joint call places one composition in every part and reads each part's
+    entry at the value it reads of the call's R.  The calls run residue by
+    residue rho of R mod K.  Each part that reads R mod k takes the
+    unfilled compositions of its largest class (red hats c mod K) at
+    v = rho mod k; a part with none left takes the first composition of a
+    class, whose entry is checked again.  One part changes class so that the
+    classes add up to rho, and the calls repeat while every class taken has
+    entries left.  The exact reader takes a color whose entry at R is
+    unfilled.  An entry met a second time must match, or the parts
+    declaration does not hold.  Entries that no joint call reaches are
+    filled one part at a time: its cells take their types in order, and the
+    lowest players outside it that R counts are red as often as v needs.
+    """
+    bulk = strategy.bulk
+    big_k = math.lcm(*(part.modulus for part in parts if part.modulus))
+    fills = [_Filling(part, r_mask, big_k) for part in parts]
+    moduli = [f for f in fills if f.k]
+    exact = next((f for f in fills if not f.k), None)
+
+    def compare(f: _Filling, got: int, want: int) -> None:
+        if got != want:
+            raise ContractError(
+                f"{strategy.name}: the part {f.part.cells} has {got} correct guesses, and "
+                f"{want} on another distribution with the same composition of cell types "
+                f"and read value; its guesses depend on more, so the rule's parts "
+                f"declaration does not hold"
+            )
+
+    for rho in range(big_k):
+        lefts = [f.left[rho % f.k] for f in moduli]
+        while any(map(any, lefts)):
+            fresh = [any(left) for left in lefts]
+            classes = [left.index(max(left)) for left in lefts]
+            need = (rho - sum(classes)) % big_k
+            if need:  # a part with nothing left moves first, else one with entries left there
+                movable = [
+                    j
+                    for flexible in (True, False)
+                    for j, f in enumerate(moduli)
+                    if fresh[j] != flexible
+                    and (lefts[j] if fresh[j] else f.first)[(classes[j] + need) % big_k]
+                ]
+                if not movable:
+                    break
+                classes[movable[0]] = (classes[movable[0]] + need) % big_k
+            runs = min(left[r] for left, r, new in zip(lefts, classes, fresh) if new)
+            walks, targets, fixed = [], [], []
+            for f, r, new in zip(moduli, classes, fresh):
+                cor = f.cor[rho % f.k]
+                if new:
+                    walks.append(f.walks[rho % f.k][r])
+                    targets.append((cor, f.mask))
+                else:
+                    i, c, m = f.first[r]
+                    fixed.append((f, cor[i], c, m))
+            fixed_red = sum(m for *_, m in fixed)
+            fixed_c = sum(c for _, _, c, _ in fixed)
+            for picks in islice(zip(*walks), runs):
+                red, r_total = fixed_red, fixed_c
+                for _, c, m in picks:
+                    red |= m
+                    r_total += c
+                if exact is not None:
+                    row = exact.cor[r_total]
+                    color = 1 if row[0] != _UNREACHABLE and row[1] == _UNREACHABLE else 0
+                    if not color:
+                        red |= exact.mask
+                right = ~(bulk(red) ^ red)
+                for (cor, mask), (i, _, _) in zip(targets, picks):
+                    cor[i] = (right & mask).bit_count()
+                for f, want, _, _ in fixed:
+                    compare(f, (right & f.mask).bit_count(), want)
+                if exact is not None:
+                    got = (right & exact.mask).bit_count()
+                    if row[color] == _UNREACHABLE:
+                        row[color] = got
+                    else:
+                        compare(exact, got, row[color])
+            for left, r, new in zip(lefts, classes, fresh):
+                if new:
+                    left[r] -= runs
+    for f in fills:
+        if f.k:
+            todo = [(v, w) for v, ws in enumerate(f.walks) for w, m in zip(ws, f.left[v]) if m]
+        else:  # (index, c, red mask) of R and of B
+            colors = ((0, 1, f.mask), (1, 0, 0))
+            todo = [(v, colors) for v, row in enumerate(f.cor) if _UNREACHABLE in row]
+        if not todo:
+            continue
+        outs = [0]
+        rest = f.outside
+        for _ in range(rest.bit_count() if not f.k else min(f.k - 1, rest.bit_count())):
+            outs.append(outs[-1] | rest & -rest)
+            rest &= rest - 1
+        for v, walk in todo:
+            cor = f.cor[v]
+            for i, c, m in walk:
+                if cor[i] == _UNREACHABLE:
+                    both = m | outs[(v - c) % f.k if f.k else v]
+                    cor[i] = (~(bulk(both) ^ both) & f.mask).bit_count()
+    return [f.table() for f in fills]
 
 
 def _comp_index(comp: list[int]) -> int:
-    """The index of ``comp`` in ``_compositions`` order: for each kind j >= 1,
-    the C(rest + kinds - 1 - j, kinds - j) compositions that agree with it before
-    kind j - 1 and have more of that kind come first (rest: cells of kinds >= j)."""
-    kinds = len(comp)
-    index = rest = 0
-    for j in range(kinds - 1, 0, -1):
-        rest += comp[j]
-        index += math.comb(rest + kinds - 1 - j, kinds - j)
-    return index
+    """The index of ``comp`` in ``_compositions`` order.  Two kinds (R, B):
+    the count of B.  Four (RR, RB, BR, BB): C(s + 2, 3) compositions have
+    fewer RR than ``comp``, s = RB + BR + BB, C(t + 1, 2) of the rest fewer
+    RB, t = BR + BB, and BB of the rest fewer BR."""
+    if len(comp) == 2:
+        return comp[1]
+    _, rb, br, bb = comp
+    s, t = rb + br + bb, br + bb
+    return s * (s + 1) * (s + 2) // 6 + t * (t + 1) // 2 + bb
 
 
 def _check_cells(strategy: StrategyProfile, n: int, r_mask: int, tables: list[_PartTable]) -> None:
     """The parts promise on ``_CELL_CHECKS`` seeded masks, one bulk call each:
     every part must score its table's correct guesses for the mask's composition
-    of cell types and the value it reads of R, all the sweep takes from a part."""
+    of cell types and the value it reads of R, all the sweep takes from a part.
+    A part of pairs reads its composition off popcounts over its pairs grouped
+    by partner distance d = y - x, the way the block rule plays them."""
+    readers = []
+    for t in tables:
+        groups: dict[int, tuple[int, int]] = {}
+        for cell in t.part.cells:
+            if len(cell) == 2:
+                x, y = cell
+                xs, ys = groups.get(y - x, (0, 0))
+                groups[y - x] = (xs | 1 << (x - 1), ys | 1 << (y - 1))
+        firsts = sum(xs for xs, _ in groups.values())
+        readers.append((t, len(t.part.cells), tuple(groups.items()), firsts))
     rng = random.Random(n)
     for i in range(_CELL_CHECKS):
         mask = rng.getrandbits(n)
         for _ in range(i % 3):  # vary the density of red hats
             mask = mask & rng.getrandbits(n) if i & 1 else mask | rng.getrandbits(n)
-        right, blue = ~(strategy.bulk(mask) ^ mask), ~mask
+        right = ~(strategy.bulk(mask) ^ mask)
         r = (mask & r_mask).bit_count()
-        for t in tables:
-            comp = [0] * (1 << len(t.part.cells[0]))
-            for cell in t.part.cells:
-                kind = 0  # bit set = blue, the first player in the highest bit
-                for p in cell:
-                    kind = kind << 1 | blue >> (p - 1) & 1
-                comp[kind] += 1
+        for t, cells, groups, firsts in readers:
+            reds = (mask & t.mask).bit_count()
+            if groups:  # RR, RB, BR, BB
+                both = sum(
+                    (mask & (mask >> d if d > 0 else mask << -d) & xs).bit_count()
+                    for d, (xs, _) in groups
+                )
+                x_red = (mask & firsts).bit_count()
+                comp = [both, x_red - both, reds - x_red - both, cells - reds + both]
+            else:
+                comp = [reds, cells - reds]
             got = (right & t.mask).bit_count()
             want = t.cor[t.read(r) if t.part.modulus else r][_comp_index(comp)]
             if got != want:
@@ -383,9 +543,11 @@ def _min_plus(old: list[int], best: list[int]) -> list[int]:
 def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> _Partial:
     """The exhaustive sweep of a rule with ``parts``, over orbits.
 
-    Each part is scored once per composition and read value (``_part_table``).
-    The parts other than the exact reader are combined once per residue rho of
-    their red total R mod K, K the lcm of their moduli:
+    Each part is scored per composition and read value, most entries in
+    joint calls that place a composition in every part (``_part_tables``),
+    and checked on seeded masks (``_check_cells``).  The parts other than
+    the exact reader are combined once per residue rho of their red total
+    R mod K, K the lcm of their moduli:
 
     * worst loss: a min-plus DP over R, kept suffix by suffix for the witness;
     * histogram: polynomials in x (R mod K) whose coefficients are
@@ -396,14 +558,15 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
     part reads its hat and it is right in exactly one of its two colors
     (checked for every R), so it multiplies the histogram by (1 + y).  The
     witness is the bit sweep's: the smallest index among the worst cases,
-    built by ``_witness`` once per residue that reaches the worst loss.
-    It is re-scored through the bulk rule and per player, and the histogram
-    must hold 2^n distributions and n * 2^(n-1) correct guesses.
+    one ``_witness`` search per residue that reaches the worst loss, run in
+    lockstep (``_earliest``) until one is left.  It is re-scored through
+    the bulk rule and per player, and the histogram must hold 2^n
+    distributions and n * 2^(n-1) correct guesses.
     """
     full = full_mask(n)
     r_mask = full ^ sum(part.mask for part in parts if not part.modulus)
     bulk = strategy.bulk
-    tables = [_part_table(bulk, r_mask, part) for part in parts]
+    tables = _part_tables(strategy, r_mask, parts)
     _check_cells(strategy, n, r_mask, tables)
     exact = next((t for t in tables if t.part.modulus == 0), None)
     if exact is not None and any(cor[0] + cor[1] != 1 for cor in exact.cor):
@@ -441,10 +604,9 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
     if exact is not None:
         hist = [a + b for a, b in zip(hist, [0] + hist)]  # times (1 + y)
     worst = max(losses)
-    red, cor = min(
-        (_witness(others, chains[rho], rho, big_k, n, worst, exact)
-         for rho, loss in enumerate(losses) if loss == worst),
-        key=lambda found: full ^ found[0],  # the bit sweep's index of the distribution
+    red, cor = _earliest(
+        [_witness(others, chains[rho], rho, big_k, n, worst, exact)
+         for rho, loss in enumerate(losses) if loss == worst]
     )
     r = red.bit_count()
     got = (~(bulk(red) ^ red) & full).bit_count()
@@ -500,13 +662,29 @@ def _reader(
     ]
 
 
-def _witness(others, chain, rho, big_k, n, worst, exact) -> tuple[int, int]:
-    """The earliest worst case whose R has residue rho: (red mask, correct).
+def _earliest(searches: list[Generator[bool, None, tuple[int, int]]]) -> tuple[int, int]:
+    """The bit sweep's witness among the residues that reach the worst loss:
+    the searches fix player n, n - 1, ... in lockstep, and a search that
+    puts blue where another puts red is dropped, since its distribution has
+    the larger index.  Two residues never agree on every hat, so one search
+    runs to the end and returns (red mask, correct)."""
+    while True:
+        try:
+            reds = [next(search) for search in searches]
+        except StopIteration as done:
+            return done.value
+        if any(reds):
+            searches = [search for search, red in zip(searches, reds) if red]
+
+
+def _witness(others, chain, rho, big_k, n, worst, exact) -> Generator[bool, None, tuple[int, int]]:
+    """The earliest worst case whose R has residue rho.
 
     The players are fixed from n down to 1, each red if some worst case
-    still extends the hats fixed so far.  Each part keeps its options
-    (subset sums of its composition, red hats c, correct k) that fit its
-    fixed hats; the last part is the reader of R (``_reader``), with R in
+    still extends the hats fixed so far; each choice is yielded (red is
+    True) and the search returns (red mask, correct).  Each part keeps its
+    options (subset sums of its composition, red hats c, correct k) that fit
+    its fixed hats; the last part is the reader of R (``_reader``), with R in
     place of c.  The parts ``others[touched:]`` have no hat fixed and count
     through ``chain[touched]``.  An option is kept while k is at most
     room[c]: the most correct guesses the part may have with c red hats
@@ -601,6 +779,7 @@ def _witness(others, chain, rho, big_k, n, worst, exact) -> tuple[int, int]:
             rooms = {j: rooms[j]}
             options[j] = kept
         red |= bool(kept) << (p - 1)
+        yield bool(kept)
     r = sum(opts[0][1] for opts in options[:-1])
     k = sum(opts[0][2] for opts in options[:-1]) + next(k for _, at, k in options[-1] if at == r)
     total = red.bit_count()

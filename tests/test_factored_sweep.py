@@ -10,6 +10,7 @@ witness and histogram, and so the min, total and count read off it.
 import concurrent.futures
 import random
 import re
+from array import array
 
 import pytest
 
@@ -136,12 +137,34 @@ def test_split_partial_block_past_the_bit_sweep():
     assert report.total_correct == n << (n - 1)  # the averaging identity
 
 
-def test_the_witness_is_built_once_per_residue_that_reaches_the_worst_loss(monkeypatch):
-    builds = []
+def run_to_end(search):
+    """Drive a witness search to its last player; its (red mask, correct)."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value
+
+
+@pytest.mark.parametrize("n", [21, 34, 64])
+def test_one_witness_search_runs_to_the_end(monkeypatch, n):
+    started, finished = [], []
     witness = analysis._witness
-    monkeypatch.setattr(analysis, "_witness", lambda *args: builds.append(args[2]) or witness(*args))
-    exhaustive_worst_case(composite_strategy(21), 21)
-    assert len(builds) == len(set(builds)) <= 2  # K = 2 residues of R
+
+    def tracked(*args):
+        started.append(args)
+        found = yield from witness(*args)
+        finished.append(found)
+        return found
+
+    monkeypatch.setattr(analysis, "_witness", tracked)
+    report = exhaustive_worst_case(composite_strategy(n), n)
+    assert len({args[2] for args in started}) == len(started) == 2  # two residues reach it
+    assert len(finished) == 1
+    whole = [run_to_end(witness(*args)) for args in started]
+    earliest = min(whole, key=lambda found: full_mask(n) ^ found[0])  # the bit sweep's index
+    assert finished == [earliest]
+    assert report.witness.red_mask == earliest[0]
 
 
 def interleave(groups):
@@ -229,6 +252,55 @@ class CountsTooLittle:
         return self.rule.bulk_guesses(red_mask)
 
 
+def one_part_table(bulk, r_mask, part):
+    """A part's table from one bulk call per composition and read value, on
+    a mask where the part's cells take their types in order and the lowest
+    players outside it that R counts are red as often as v needs: the
+    reference for the sweep's joint tables."""
+    cells = part.cells
+    arity = len(cells[0])
+    roles = [[0] for _ in range(arity)]
+    for cell in cells:
+        for role, p in zip(roles, cell):
+            role.append(role[-1] | 1 << (p - 1))
+    mask = part.mask
+    rest = r_mask & ~mask
+    outs = [0]
+    needed = rest.bit_count() if part.modulus == 0 else min(part.modulus - 1, rest.bit_count())
+    for _ in range(needed):
+        bit = rest & -rest
+        outs.append(outs[-1] | bit)
+        rest ^= bit
+    reads = part.modulus or len(outs)
+    comps = list(analysis._compositions(len(cells), 1 << arity))
+    cor = [array("H", [analysis._UNREACHABLE]) * len(comps) for _ in range(reads)]
+    best = [[analysis._INF] * (mask.bit_count() + 1) for _ in range(reads)]
+    weights = [{} for _ in range(reads)]
+    reds = array("H")
+    for i, (comp, weight) in enumerate(comps):
+        red = start = 0
+        for kind, count in enumerate(comp):
+            end = start + count
+            for role in range(arity):
+                if not kind >> (arity - 1 - role) & 1:
+                    red |= roles[role][end] ^ roles[role][start]
+            start = end
+        c = red.bit_count()
+        reds.append(c)
+        for v in range(reads):
+            t = (v - c) % part.modulus if part.modulus else v
+            if t < len(outs):
+                both = red | outs[t]
+                k = cor[v][i] = (~(bulk(both) ^ both) & mask).bit_count()
+                best[v][c] = min(best[v][c], k)
+                weights[v][c, k] = weights[v].get((c, k), 0) + weight
+    return analysis._PartTable(part, mask, reds, cor, best, weights)
+
+
+def one_part_tables(strategy, r_mask, parts):
+    return [one_part_table(strategy.bulk, r_mask, part) for part in parts]
+
+
 def test_oracle_catches_a_counted_mask_too_small(monkeypatch):
     strategy = StrategyProfile(3, CountsTooLittle(), "counts-too-little")
     oracle = _sweep_chunk((strategy, 3, 0, 8))
@@ -236,8 +308,41 @@ def test_oracle_catches_a_counted_mask_too_small(monkeypatch):
     with pytest.raises(ContractError, match="parts declaration does not hold"):
         exhaustive_worst_case(strategy, 3)  # the parts check, on a mask with hats 1 or 2 red
     monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
+    with pytest.raises(ContractError, match=r"the part \(\(3,\),\) .*same composition"):
+        exhaustive_worst_case(strategy, 3)  # the joint compare: the spectator reads hats 1 and 2
+    monkeypatch.setattr(analysis, "_part_tables", one_part_tables)
     with pytest.raises(ContractError, match="worst loss 2 .*parts declaration does not hold"):
         exhaustive_worst_case(strategy, 3)  # the witness re-check, on its own
+
+
+class ReadsTheOtherPart:
+    """The pairing at n = 6 declaring the parts {(1, 2), (3, 4)} and {(5, 6)},
+    whose player 5 flips their guess when exactly one of hats 1..4 is red:
+    the guesses of (5, 6) depend on the other part's composition."""
+
+    def __init__(self):
+        self.rule = strategies.BlockThresholdRule(canonical_pairing(6), (), ())
+        self.parts = (Part(((1, 2), (3, 4)), 1), Part(((5, 6),), 1))
+
+    def __call__(self, observer, view):
+        guess = self.rule(observer, view)
+        if observer == 5 and view.count_red(0b1111) == 1:
+            return guess.opposite()
+        return guess
+
+    def bulk_guesses(self, red_mask):
+        return self.rule.bulk_guesses(red_mask) ^ ((red_mask & 0b1111).bit_count() == 1) << 4
+
+
+def test_only_the_joint_compare_sees_a_part_read_another(monkeypatch):
+    strategy = StrategyProfile(6, ReadsTheOtherPart(), "reads-the-other-part")
+    monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
+    with pytest.raises(ContractError, match=r"the part \(\(5, 6\),\) .*parts declaration does not hold"):
+        exhaustive_worst_case(strategy, 6)
+    # one part at a time, every other hat is blue: no later check notices
+    monkeypatch.setattr(analysis, "_part_tables", one_part_tables)
+    report = exhaustive_worst_case(strategy, 6)
+    assert report != analysis._report(strategy, "exhaustive", _sweep_chunk((strategy, 6, 0, 64)))
 
 
 class MissesAPlayer(CountsTooLittle):
@@ -368,7 +473,7 @@ def test_factored_sweep_calls_the_bulk_rule_far_fewer_times():
 
     rule.bulk_guesses = counting
     report = exhaustive_worst_case(strategy, 21)
-    assert calls < 1_000  # the bit sweep calls it 2^21 = 2_097_152 times
+    assert calls <= 150  # the bit sweep calls it 2^21 = 2_097_152 times
     assert report.evaluated == 1 << 21
     assert report.total_correct == 21 << 20  # the averaging identity
 
@@ -453,6 +558,85 @@ def test_every_part_is_checked_against_its_table(n, only_if_hat_1_blue):
         exhaustive_worst_case(strategy, n)
 
 
+def bulk_calls(strategy, n):
+    rule = strategy.guess_rule
+    bulk = rule.bulk_guesses
+    calls = 0
+
+    def counting(red_mask):
+        nonlocal calls
+        calls += 1
+        return bulk(red_mask)
+
+    rule.bulk_guesses = counting
+    exhaustive_worst_case(strategy, n)
+    return calls
+
+
+def test_joint_calls_cover_the_parts_together():
+    assert bulk_calls(composite_strategy(256), 256) <= 27_000  # 104_753 one part at a time
+    assert bulk_calls(pairing_strategy(canonical_pairing(1024)), 1024) <= 64  # 2_081
+    # one part: 13 compositions, 32 seeded masks and the witness re-score
+    assert bulk_calls(majority_strategy(12), 12) == 46
+
+
+def assert_joint_tables_exact(strategy):
+    n = strategy.n
+    parts = analysis._check_parts(strategy, n)
+    r_mask = full_mask(n) ^ sum(part.mask for part in parts if not part.modulus)
+    assert analysis._part_tables(strategy, r_mask, parts) == one_part_tables(strategy, r_mask, parts)
+
+
+@pytest.mark.parametrize("spectator", [0, 1])
+@pytest.mark.parametrize("n,k,seed", [(8, 2, 1), (12, 3, 2), (12, 2, 3)])
+def test_joint_tables_on_interleaved_parts(n, k, seed, spectator):
+    plan, pairing = shuffled_plan(n, k, seed)
+    rule = strategies.BlockThresholdRule(pairing, plan.blocks, plan)
+    if spectator:
+        rule = strategies.SpectatorCompositeRule(n + 1, rule)
+    assert_joint_tables_exact(StrategyProfile(n + spectator, rule, "composite"))
+
+
+def test_joint_tables_of_a_fixed_block_and_loose_pairs():
+    assert_joint_tables_exact(partial_block(14, {3, 4, 5, 6, 11, 12}, 1, 4))
+
+
+def test_joint_tables_of_the_chain_pairing():
+    assert_joint_tables_exact(pairing_strategy(chain_pairing(14)))
+
+
+class ReadsTwoModuli:
+    """The pairing at n = 10 with the parts {(1, 2), (3, 4)} reading R mod 2
+    and {(5, 6), (7, 8), (9, 10)} reading R mod 3: each first player of a
+    pair flips their guess when the red hats outside their part are 1 mod 2,
+    or 1 mod 3."""
+
+    def __init__(self):
+        self.rule = strategies.BlockThresholdRule(canonical_pairing(10), (), ())
+        self.parts = (Part(((1, 2), (3, 4)), 2), Part(((5, 6), (7, 8), (9, 10)), 3))
+
+    def flips(self, red_mask):
+        low, high = (red_mask & 0b1111).bit_count(), (red_mask >> 4).bit_count()
+        return (0b0101 if high % 2 == 1 else 0) | (0b010101 << 4 if low % 3 == 1 else 0)
+
+    def __call__(self, observer, view):
+        guess = self.rule(observer, view)
+        if self.flips(view.distribution.red_mask) >> (observer - 1) & 1:
+            return guess.opposite()
+        return guess
+
+    def bulk_guesses(self, red_mask):
+        return self.rule.bulk_guesses(red_mask) ^ self.flips(red_mask)
+
+
+def test_joint_tables_across_two_moduli(monkeypatch):
+    """K = 6: the small part has no composition with 5 red hats mod 6, so
+    some entries are left to the one-part fill."""
+    strategy = StrategyProfile(10, ReadsTwoModuli(), "two-moduli")
+    assert_joint_tables_exact(strategy)
+    assert_orbit_exact(monkeypatch, strategy, 10)
+
+
 def test_the_parts_check_makes_one_bulk_call_per_seeded_mask(monkeypatch):
     calls = []
     strategy = composite_strategy(21)
@@ -465,7 +649,7 @@ def test_the_parts_check_makes_one_bulk_call_per_seeded_mask(monkeypatch):
     monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
     exhaustive_worst_case(strategy, 21)
     assert checked - len(calls) == 32
-    assert checked <= 299
+    assert checked <= 150
 
 
 @pytest.mark.parametrize("kinds", [2, 4])
