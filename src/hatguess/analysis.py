@@ -9,30 +9,30 @@ and their exact total are read.
 An exhaustive sweep of a rule that declares its ``parts`` (the contract
 is on ``StrategyProfile``) runs over orbits, in one process.  Inside a
 part the guesses depend only on how many of its cells are of each type and
-on what the part reads of the red total R, so the sweep reads each part's
-correct guesses per composition of cell types and read value off real
-bulk calls, most of them joint calls that place a composition in every
-part at once.  It then combines the parts: a min-plus DP over R gives
-the worst loss and its witness, and products of polynomials with
-multinomial weights give the exact histogram.  The one player who may
-read R exactly, the odd-n spectator, is not counted in R and is right in
-exactly one of their two colors, so they join the histogram as a factor
-(1 + y).  The witness, the
-bit sweep's earliest worst distribution, is found by fixing the players
-from the top, each red while some worst case still extends the hats fixed
-so far, for the residues of R that reach the worst loss in lockstep.
-Every run checks that an entry met by two joint calls matches, checks on
-seeded masks that each part scores what its table says, checks that
-spectator at every R, re-scores the witness through the bulk rule and per
-player, and requires the histogram to hold 2^n distributions and
-n * 2^(n-1) correct guesses.  The bit sweep, one bulk call per
-distribution, serves every other rule and is the reference the tests
-compare the orbit sweep against.  A sweep whose estimated cost (bulk
-calls plus histogram bytes) exceeds a fixed budget raises
-``CapacityError``.  The bit sweep and the sampler split their work into
-chunks that merge associatively, so spreading them across worker
-processes cannot change the result; the process pool is imported only
-when one starts.
+on what the part reads of the red total R, so the sweep runs in stages:
+
+* tables: each part's correct guesses per composition of cell types and
+  read value, read off real bulk calls, most of them joint calls that
+  place a composition in every part; an entry met twice must match;
+* checks: on seeded masks each part scores what its table says, and the
+  one player who may read R exactly, the odd-n spectator, is right in
+  exactly one of their two colors at every R;
+* combine: every other part enters as its arrangements per (red hats,
+  correct); a min-plus DP over R gives the worst loss, products of
+  polynomials the exact histogram, which the spectator multiplies by (1 + y);
+* witness: the bit sweep's earliest worst distribution, found by fixing
+  the players from the top, and re-scored through the bulk rule and per
+  player;
+* guards: the histogram holds 2^n distributions and n * 2^(n-1) correct
+  guesses.
+
+The bit sweep, one bulk call per distribution, serves every other rule
+and is the reference the tests compare the orbit sweep against.  A sweep
+whose estimated cost (bulk calls plus histogram bytes) exceeds a fixed
+budget raises ``CapacityError``.  The bit sweep and the sampler split
+their work into chunks that merge associatively, so spreading them across
+worker processes cannot change the result; the process pool is imported
+only when one starts.
 
 Alongside the sweeps sit the exact combinatorial checks: the averaging
 identity (every no-peek strategy totals n * 2^(n-1) correct guesses over
@@ -54,8 +54,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, product
-from operator import sub
+from itertools import accumulate, islice, product
+from operator import mul, sub
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -237,51 +237,31 @@ def _orbit_cost(n: int, parts: tuple[Part, ...]) -> int:
     return calls + keys * (n + 1) ** 2 // 8
 
 
-def _compositions(cells: int, kinds: int):
-    """Every tuple of ``kinds`` (2 or 4) counts that sum to ``cells``, with
-    its weight: the multinomial cells! / prod(count!), which counts the
-    arrangements of the cells it describes."""
+def _compositions(cells: int, kinds: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of ``kinds`` (2 or 4) counts that sum to ``cells``, each
+    count from its largest down, the first count slowest."""
     if kinds == 2:
-        weight = 1
-        for a in range(cells, -1, -1):
-            yield (a, cells - a), weight
-            weight = weight * a // (cells - a + 1)
-        return
-    first = 1  # C(cells, a)
-    for a in range(cells, -1, -1):
-        rest = cells - a
-        second = first  # times C(rest, b)
-        for b in range(rest, -1, -1):
-            weight = second  # times C(rest - b, c)
-            for c in range(rest - b, -1, -1):
-                yield (a, b, c, rest - b - c), weight
-                weight = weight * c // (rest - b - c + 1)
-            second = second * b // (rest - b + 1)
-        first = first * a // (cells - a + 1)
+        return ((a, cells - a) for a in range(cells, -1, -1))
+    return (
+        (a, b, c, cells - a - b - c)
+        for a in range(cells, -1, -1)
+        for b in range(cells - a, -1, -1)
+        for c in range(cells - a - b, -1, -1)
+    )
 
 
 class _PartTable(NamedTuple):
     """One part's correct guesses, per composition of its cell types and per
-    value v of the red total R it reads: v = R mod k for a part with modulus
-    k >= 1, and R itself for the exact reader.  Every entry is read off a
-    real bulk call (``_part_tables``).  Compositions are indexed in
-    ``_compositions`` order; _UNREACHABLE marks a pair (v, composition) that
-    no distribution has."""
+    value v of the red total R it reads: v = R mod len(cor), which is R mod k
+    for a part with modulus k >= 1 and R itself for the exact reader, whose
+    table has a value for every R.  Every entry is read off a real bulk call
+    (``_part_tables``).  Compositions are indexed in ``_compositions`` order;
+    _UNREACHABLE marks a pair (v, composition) that no distribution has."""
 
     part: Part
     mask: int
     reds: array  # red hats per composition
     cor: list[array]  # cor[v][i]: correct guesses inside the part
-    best: list[list[int]]  # best[v][c]: the fewest correct guesses with c red hats
-    weights: list[dict[tuple[int, int], int]]  # weights[v][(c, correct)]: arrangements
-
-    def read(self, rho: int) -> int:
-        """v for the residue rho of R mod K (a part that does not read R exactly)."""
-        return rho % self.part.modulus
-
-    def comps(self):
-        """The (composition, weight) pairs, in the order of ``reds`` and ``cor``."""
-        return _compositions(len(self.part.cells), 1 << len(self.part.cells[0]))
 
 
 _UNREACHABLE = 0xFFFF
@@ -349,21 +329,6 @@ class _Filling:
         ]
         self.walks = [[_members(self.roles, r, big_k) for r in range(big_k)] for _ in range(self.k)]
         self.first = [next(_members(self.roles, r, big_k), None) for r in range(big_k)]
-
-    def table(self) -> _PartTable:
-        reads = len(self.cor)
-        best = [[_INF] * (self.mask.bit_count() + 1) for _ in range(reads)]
-        weights: list[dict[tuple[int, int], int]] = [{} for _ in range(reads)]
-        rows = list(zip(self.cor, best, weights))
-        comps = _compositions(len(self.part.cells), 1 << len(self.roles))
-        for i, ((_, weight), c) in enumerate(zip(comps, self.reds)):
-            for cor, fewest, w in rows:
-                k = cor[i]
-                if k != _UNREACHABLE:
-                    if k < fewest[c]:
-                        fewest[c] = k
-                    w[c, k] = w.get((c, k), 0) + weight
-        return _PartTable(self.part, self.mask, self.reds, self.cor, best, weights)
 
 
 def _part_tables(
@@ -471,7 +436,7 @@ def _part_tables(
                 if cor[i] == _UNREACHABLE:
                     both = m | outs[(v - c) % f.k if f.k else v]
                     cor[i] = (~(bulk(both) ^ both) & f.mask).bit_count()
-    return [f.table() for f in fills]
+    return [_PartTable(f.part, f.mask, f.reds, f.cor) for f in fills]
 
 
 def _comp_index(comp: list[int]) -> int:
@@ -521,7 +486,7 @@ def _check_cells(strategy: StrategyProfile, n: int, r_mask: int, tables: list[_P
             else:
                 comp = [reds, cells - reds]
             got = (right & t.mask).bit_count()
-            want = t.cor[t.read(r) if t.part.modulus else r][_comp_index(comp)]
+            want = t.cor[r % len(t.cor)][_comp_index(comp)]
             if got != want:
                 raise ContractError(
                     f"{strategy.name}: the part {t.part.cells} has {got} correct guesses, its "
@@ -540,28 +505,86 @@ def _min_plus(old: list[int], best: list[int]) -> list[int]:
     return new
 
 
-def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> _Partial:
-    """The exhaustive sweep of a rule with ``parts``, over orbits.
+def _row(table: _PartTable) -> list[dict[tuple[int, int], int]]:
+    """How a part that reads R mod k enters ``_combine``: for each read value
+    v, (red hats c, correct k) -> the arrangements of its cells that have
+    them, the multinomial cells! / prod(count!) summed over the compositions."""
+    cells = len(table.part.cells)
+    fact = list(accumulate(range(1, cells + 1), mul, initial=1))  # fact[i] = i!
+    comps = _compositions(cells, 1 << len(table.part.cells[0]))
+    row: list[dict[tuple[int, int], int]] = [{} for _ in table.cor]
+    for i, (comp, c) in enumerate(zip(comps, table.reds)):
+        weight = fact[cells] // math.prod(map(fact.__getitem__, comp))
+        for counts, cor in zip(row, table.cor):
+            k = cor[i]
+            if k != _UNREACHABLE:
+                counts[c, k] = counts.get((c, k), 0) + weight
+    return row
 
-    Each part is scored per composition and read value, most entries in
-    joint calls that place a composition in every part (``_part_tables``),
-    and checked on seeded masks (``_check_cells``).  The parts other than
-    the exact reader are combined once per residue rho of their red total
-    R mod K, K the lcm of their moduli:
 
-    * worst loss: a min-plus DP over R, kept suffix by suffix for the witness;
+def _combine(
+    rows: list[list[dict[tuple[int, int], int]]], exact: _PartTable | None, n: int
+) -> tuple[list[int], list[list[list[int]]], list[int]]:
+    """(losses, chains, histogram) of the parts with ``rows``, and the exact
+    reader if any, combined once per residue rho of the red total R mod K, K
+    the lcm of their moduli, each part at its read value v = rho mod k:
+
+    * worst loss: a min-plus DP over R whose step is ``best``, the fewest
+      correct guesses k per red hats c of row[v]; chains[rho][j] holds the
+      fewest correct guesses of rows[j:] per R, which the witness walks,
+      and losses[rho] the worst loss whose R has residue rho;
     * histogram: polynomials in x (R mod K) whose coefficients are
-      polynomials in y (correct guesses) packed into one int each, weighted
-      by multinomial arrangement counts.
+      polynomials in y (correct guesses) packed into one int each, row[v]
+      being the sum of its arrangements times x^c y^k; x^rho is read off.
 
-    The exact reader, when there is one, joins last, where R is known.  No
-    part reads its hat and it is right in exactly one of its two colors
-    (checked for every R), so it multiplies the histogram by (1 + y).  The
-    witness is the bit sweep's: the smallest index among the worst cases,
-    one ``_witness`` search per residue that reaches the worst loss, run in
-    lockstep (``_earliest``) until one is left.  It is re-scored through
-    the bulk rule and per player, and the histogram must hold 2^n
-    distributions and n * 2^(n-1) correct guesses.
+    The exact reader joins last, where R is known (``_reader``).  No part
+    reads its hat and it is right in exactly one of its two colors (which
+    ``_orbit_sweep`` checks), so it multiplies the histogram by (1 + y).
+    """
+    size = n + 1 - (exact is not None)  # R counts every player but the exact reader
+    big_k = math.lcm(*map(len, rows))
+    slot = n // 8 + 1  # bytes per packed coefficient: every count is at most 2^n
+    hist = [0] * (n + 1)
+    losses, chains = [], []
+    for rho in range(big_k):
+        chain = [[0] + [_INF] * (size - 1)]
+        acc = [1] + [0] * (big_k - 1)
+        for row in reversed(rows):
+            counts = row[rho % len(row)]
+            best = [_INF] * size
+            for c, k in counts:
+                best[c] = min(best[c], k)
+            chain.append(_min_plus(chain[-1], best))
+            terms = [(c % big_k, 8 * slot * k, weight) for (c, k), weight in counts.items()]
+            new = [0] * big_k
+            for j, a in enumerate(acc):
+                if a:
+                    for dj, shift, weight in terms:
+                        new[(j + dj) % big_k] += a * weight << shift
+            acc = new
+        chains.append(chain[::-1])
+        fewest = chain[-1]
+        reader = _reader(exact, rho, big_k, n, size)
+        losses.append(max((-k - fewest[r] for _, r, k in reader if fewest[r] < _INF), default=-1))
+        _add_slots(hist, acc[rho], slot)
+    if exact is not None:
+        hist = [a + b for a, b in zip(hist, [0] + hist)]  # times (1 + y)
+    return losses, chains, hist
+
+
+def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> _Partial:
+    """The exhaustive sweep of a rule with ``parts``, over orbits, in stages:
+
+    1. tables, most entries read off joint bulk calls (``_part_tables``);
+    2. checks: each part on seeded masks (``_check_cells``), and the exact
+       reader right in exactly one of its two colors at every R;
+    3. ``_combine`` of every other part's ``_row``;
+    4. witness: the bit sweep's, the smallest index among the worst cases,
+       one ``_witness`` search per residue that reaches the worst loss, run
+       in lockstep (``_earliest``), re-scored through the bulk rule and per
+       player;
+    5. guards: the histogram holds 2^n distributions and n * 2^(n-1)
+       correct guesses.
     """
     full = full_mask(n)
     r_mask = full ^ sum(part.mask for part in parts if not part.modulus)
@@ -576,36 +599,10 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
             f"on their own hat"
         )
     others = sorted((t for t in tables if t is not exact), key=lambda t: t.mask, reverse=True)
-    big_k = math.lcm(*(t.part.modulus for t in others))
-    size = n // 8 + 1  # bytes per packed coefficient: every count is at most 2^n
-    width = 8 * size
-    hist = [0] * (n + 1)
-    chains = []
-    losses = []  # losses[rho]: the worst loss whose R has residue rho
-    for rho in range(big_k):
-        chain = [[0] + [_INF] * r_mask.bit_count()]
-        acc = [1] + [0] * (big_k - 1)
-        for t in reversed(others):
-            v = t.read(rho)
-            chain.append(_min_plus(chain[-1], t.best[v]))
-            terms = [(c % big_k, cor * width, weight) for (c, cor), weight in t.weights[v].items()]
-            new = [0] * big_k
-            for j, a in enumerate(acc):
-                if a:
-                    for dj, shift, weight in terms:
-                        new[(j + dj) % big_k] += a * weight << shift
-            acc = new
-        chain.reverse()  # chain[j]: the fewest correct guesses of others[j:]
-        chains.append(chain)
-        fewest = chain[0]
-        reader = _reader(exact, rho, big_k, n, len(fewest))
-        losses.append(max((-k - fewest[r] for _, r, k in reader if fewest[r] < _INF), default=-1))
-        _add_slots(hist, acc[rho], size)
-    if exact is not None:
-        hist = [a + b for a, b in zip(hist, [0] + hist)]  # times (1 + y)
+    losses, chains, hist = _combine([_row(t) for t in others], exact, n)
     worst = max(losses)
     red, cor = _earliest(
-        [_witness(others, chains[rho], rho, big_k, n, worst, exact)
+        [_witness(others, chains[rho], rho, len(chains), n, worst, exact)
          for rho, loss in enumerate(losses) if loss == worst]
     )
     r = red.bit_count()
@@ -654,7 +651,7 @@ def _reader(
     With no exact reader, one option per R, with no cells."""
     if exact is None:
         return [((0,), r, -max(r, n - r)) for r in range(rho, size, big_k)]
-    colors = [(_subset_sums(comp), c) for (comp, _), c in zip(exact.comps(), exact.reds)]
+    colors = [(_subset_sums(comp), c) for comp, c in zip(_compositions(1, 2), exact.reds)]
     return [
         (sums, r, exact.cor[r][i] - max(r + c, n - r - c))
         for r in range(rho, size, big_k)
@@ -758,9 +755,10 @@ def _witness(others, chain, rho, big_k, n, worst, exact) -> Generator[bool, None
             bound = rooms[j] = room(j)
             if options[j] is None:
                 t = others[j]
+                comps = _compositions(len(t.part.cells), 1 << len(t.part.cells[0]))
                 options[j] = [
                     (_subset_sums(comp), c, k)
-                    for (comp, _), c, k in zip(t.comps(), t.reds, t.cor[t.read(rho)])
+                    for comp, c, k in zip(comps, t.reds, t.cor[rho % len(t.cor)])
                     if k <= bound[c]
                 ]
             else:

@@ -274,10 +274,8 @@ def one_part_table(bulk, r_mask, part):
     reads = part.modulus or len(outs)
     comps = list(analysis._compositions(len(cells), 1 << arity))
     cor = [array("H", [analysis._UNREACHABLE]) * len(comps) for _ in range(reads)]
-    best = [[analysis._INF] * (mask.bit_count() + 1) for _ in range(reads)]
-    weights = [{} for _ in range(reads)]
     reds = array("H")
-    for i, (comp, weight) in enumerate(comps):
+    for i, comp in enumerate(comps):
         red = start = 0
         for kind, count in enumerate(comp):
             end = start + count
@@ -291,10 +289,8 @@ def one_part_table(bulk, r_mask, part):
             t = (v - c) % part.modulus if part.modulus else v
             if t < len(outs):
                 both = red | outs[t]
-                k = cor[v][i] = (~(bulk(both) ^ both) & mask).bit_count()
-                best[v][c] = min(best[v][c], k)
-                weights[v][c, k] = weights[v].get((c, k), 0) + weight
-    return analysis._PartTable(part, mask, reds, cor, best, weights)
+                cor[v][i] = (~(bulk(both) ^ both) & mask).bit_count()
+    return analysis._PartTable(part, mask, reds, cor)
 
 
 def one_part_tables(strategy, r_mask, parts):
@@ -637,6 +633,44 @@ def test_joint_tables_across_two_moduli(monkeypatch):
     assert_orbit_exact(monkeypatch, strategy, 10)
 
 
+# a pair of the pairing at modulus 1: right exactly once in each of its 4 arrangements
+PAIR_ROW = [{(2, 1): 1, (1, 1): 2, (0, 1): 1}]
+
+
+def test_combine_two_pairs():
+    losses, chains, hist = analysis._combine([PAIR_ROW, PAIR_ROW], None, 4)
+    assert losses == [2]
+    assert chains[0][0] == [2, 2, 2, 2, 2]  # the fewest correct guesses at R = 0..4
+    assert hist == [0, 0, 16, 0, 0]
+
+
+def test_combine_joins_the_exact_reader():
+    """composite_strategy(5): two pairs, and the spectator, player 5, who
+    calls blue while R <= 1 and red from R = 2 on."""
+    cor = [array("H", [0, 1])] * 2 + [array("H", [1, 0])] * 3  # cor[R]: right if red, if blue
+    spectator = analysis._PartTable(Part(((5,),), 0), 0b10000, array("H", [1, 0]), cor)
+    losses, _, hist = analysis._combine([PAIR_ROW, PAIR_ROW], spectator, 5)
+    assert losses == [2]
+    assert hist == [0, 0, 16, 16, 0, 0]
+    want = _sweep_chunk((composite_strategy(5), 5, 0, 1 << 5))
+    assert (max(losses), hist) == (want.worst_loss, want.histogram)
+
+
+def test_combine_across_two_moduli():
+    """K = 6: each residue's worst loss and the histogram, against every
+    distribution."""
+    strategy = StrategyProfile(10, ReadsTwoModuli(), "two-moduli")
+    tables = one_part_tables(strategy, full_mask(10), strategy.guess_rule.parts)
+    losses, _, hist = analysis._combine([analysis._row(t) for t in tables], None, 10)
+    correct = analysis._scorer(strategy, 10)
+    want = [-1] * 6
+    for red in range(1 << 10):
+        r = red.bit_count()
+        want[r % 6] = max(want[r % 6], max(r, 10 - r) - correct(red))
+    assert losses == want
+    assert hist == _sweep_chunk((strategy, 10, 0, 1 << 10)).histogram
+
+
 def test_the_parts_check_makes_one_bulk_call_per_seeded_mask(monkeypatch):
     calls = []
     strategy = composite_strategy(21)
@@ -655,5 +689,5 @@ def test_the_parts_check_makes_one_bulk_call_per_seeded_mask(monkeypatch):
 @pytest.mark.parametrize("kinds", [2, 4])
 def test_comp_index_inverts_compositions(kinds):
     for cells in range(13):
-        comps = [comp for comp, _ in analysis._compositions(cells, kinds)]
+        comps = list(analysis._compositions(cells, kinds))
         assert [analysis._comp_index(list(comp)) for comp in comps] == list(range(len(comps)))
