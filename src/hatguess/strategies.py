@@ -18,8 +18,9 @@ Four strategies live here:
 
 Three of them are one rule, ``BlockThresholdRule``, which owns the
 pairing: the pairing strategy is that rule with no blocks, the partial
-strategy has one block with fixed thresholds, and the composite plays a
-plan's blocks, each made of whole pairs.
+strategy has one block whose table is one fixed pair, and the composite
+plays a plan's blocks, each made of whole pairs, with tables built from
+compute_thresholds.  Both the per-player and the bulk path read the tables.
 
 Rule objects are immutable after construction, pure, and picklable, so
 sweeps can fan them out across worker processes.  Each built-in rule also
@@ -208,48 +209,51 @@ class BlockThresholdRule:
     block play the pairing, so the rule with no blocks is the pairing
     strategy; players the pairing does not cover are rejected.
 
-    ``thresholds`` either fixes (blue_max, red_min) per block (the partial
-    strategy) or is a plan (the composite).  A plan's rule plays the plan's
-    own blocks, every pair lies inside one of them, and each block reads
-    its thresholds from the red count outside it via compute_thresholds.
-    The modular offset in those thresholds lets at most one block (the one
-    indexed by the total red count mod k) land in its two bad cases.  The
-    rule is the only owner of the block masks: it builds each block's mask
-    and, for a plan, its outside mask once, here.
+    Every block has one table of (blue_max, red_min) pairs, indexed by the
+    red count outside the block modulo the table's length; both paths read
+    it.  ``thresholds`` is one explicit table per block (the partial
+    strategy's is a single pair) or a plan (the composite).  A plan's rule
+    plays the plan's own blocks, every pair lies inside one of them, and
+    its tables are compute_thresholds over one period k, built once here
+    (a test pins them at every outside count).  The modular offset lets at
+    most one block (the one indexed by the total red count mod k) land in
+    its two bad cases.  The blocks of any rule are checked once, here: one
+    non-empty table each, disjoint, all players of the pairing.  The rule
+    is the only owner of the block masks.
 
     The bulk path plays the pairing with two shifts and two masks per
     distance y - x between partners (the canonical pairing has the single
-    distance 1).  It looks each block's thresholds up in a table built once
-    here, indexed by the outside red count modulo its length: a plan's
-    thresholds repeat every k, fixed ones never change.  The per-player
-    path counts the outside hats in the observer's view and still derives
-    the thresholds through compute_thresholds, as the cross-check.
+    distance 1).
     """
 
     def __init__(
         self,
         pairing: Pairing,
         blocks: tuple[Collection[int], ...],
-        thresholds: tuple[tuple[int, int], ...] | PartitionPlan,
+        thresholds: tuple[tuple[tuple[int, int], ...], ...] | PartitionPlan,
     ):
         plan = self.plan = thresholds if isinstance(thresholds, PartitionPlan) else None
         self.pairing = pairing
         self._block_of = {p: i for i, block in enumerate(blocks) for p in block}
-        masks = tuple(map(mask_of, blocks))
         if plan is None:
-            tables = [(pair,) for pair in thresholds]
+            tables = tuple(thresholds)
         else:
             if tuple(blocks) != plan.blocks:
                 raise ContractError("a plan's rule must play the plan's own blocks")
             for x, y in pairing.pairs:
                 if x not in self._block_of or self._block_of[x] != self._block_of.get(y):
                     raise ContractError(f"pair ({x}, {y}) straddles a block boundary")
-            tables = [
+            tables = tuple(
                 tuple(compute_thresholds(o, plan, i) for o in range(plan.k))
                 for i in range(1, plan.k + 1)
-            ]
-            self._outside = tuple(full_mask(plan.n) ^ m for m in masks)
-        self._blocks = tuple(zip(masks, tables))
+            )
+        if len(tables) != len(blocks) or not all(tables):
+            raise ContractError(f"need one non-empty table for each of the {len(blocks)} blocks")
+        if sum(map(len, blocks)) != len(self._block_of):
+            raise ContractError("blocks overlap")
+        if not self._block_of.keys() <= pairing.covers:
+            raise ContractError("a block member is not one of the pairing's players")
+        self._blocks = tuple(zip(map(mask_of, blocks), tables))
         groups: dict[int, tuple[int, int]] = {}
         for x, y in pairing.pairs:
             xs, ys = groups.get(y - x, (0, 0))
@@ -267,11 +271,7 @@ class BlockThresholdRule:
         if i is None:
             return self._pair_guess(observer, view)
         inside, table = self._blocks[i]
-        if self.plan is None:
-            blue_max, red_min = table[0]
-        else:
-            outside_reds = view.count_red(self._outside[i])
-            blue_max, red_min = compute_thresholds(outside_reds, self.plan, i + 1)
+        blue_max, red_min = table[view.count_red(self._covered ^ inside) % len(table)]
         visible_reds = view.count_red(inside ^ (1 << (observer - 1)))
         if visible_reds >= red_min:
             return Color.RED
@@ -282,8 +282,8 @@ class BlockThresholdRule:
     @property
     def parts(self) -> tuple[Part, ...] | None:
         """Each block is a part of its pairs, each unblocked pair a part of
-        its own.  A plan's block reads the red total R mod k (its outside
-        count is that minus its own), a fixed block reads nothing."""
+        its own.  A block reads the red total R modulo its table's length
+        (its outside count is that minus its own)."""
         index_of = self._block_of.get
         cells: list[list[tuple[int, int]]] = [[] for _ in self._blocks]
         loose = []
@@ -331,7 +331,7 @@ def partial_profile(params: PartialStrategyParams, n: int) -> StrategyProfile:
     if any(p > n for p in params.members):
         raise ContractError("block members exceed the player count")
     rule = BlockThresholdRule(
-        canonical_pairing(n), (params.members,), ((params.blue_max, params.red_min),)
+        canonical_pairing(n), (params.members,), (((params.blue_max, params.red_min),),)
     )
     return StrategyProfile(n, rule, "partial")
 

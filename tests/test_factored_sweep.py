@@ -203,14 +203,16 @@ def test_interleaved_parts_and_cells(monkeypatch, n, k, seed, spectator):
 def test_nested_cells_in_fixed_blocks(monkeypatch):
     # pairs (4, 1) and (3, 2) nest inside block 1..4, (8, 5) and (6, 7) inside 5..8
     pairing = Pairing(((4, 1), (3, 2), (8, 5), (6, 7)))
-    rule = strategies.BlockThresholdRule(pairing, ((4, 1, 3, 2), (8, 5, 6, 7)), ((0, 3), (0, 3)))
+    rule = strategies.BlockThresholdRule(
+        pairing, ((4, 1, 3, 2), (8, 5, 6, 7)), (((0, 3),), ((0, 3),))
+    )
     assert_orbit_exact(monkeypatch, StrategyProfile(8, rule, "nested"), 8)
 
 
 def test_blocks_tied_by_a_pair_declare_no_parts():
     # blocks {1,3} and {2,4} under the pairs (1,2), (3,4): every pair crosses them
     rule = strategies.BlockThresholdRule(
-        canonical_pairing(4), ((1, 3), (2, 4)), ((-1, 1), (-1, 1))
+        canonical_pairing(4), ((1, 3), (2, 4)), (((-1, 1),), ((-1, 1),))
     )
     assert rule.parts is None
     strategy = StrategyProfile(4, rule, "tied-blocks")

@@ -27,7 +27,7 @@ from hatguess import (
 from hatguess import strategies
 from hatguess.core import full_mask, mask_of
 from hatguess.strategies import BlockThresholdRule
-from test_factored_sweep import chain_pairing
+from test_factored_sweep import assert_orbit_exact, chain_pairing, equal_plan, shuffled_plan
 
 
 def block_params(size, blue_max, red_min):
@@ -184,7 +184,7 @@ def test_partial_rule_middle_plays_pairing():
 
 def test_partial_rule_rejects_outsider():
     # a block rule whose pairing covers players 1..4 only: player 5 has no partner
-    rule = BlockThresholdRule(canonical_pairing(4), (frozenset(range(1, 5)),), ((0, 3),))
+    rule = BlockThresholdRule(canonical_pairing(4), (frozenset(range(1, 5)),), (((0, 3),),))
     d = HatDistribution.from_text("RRBBRB")
     with pytest.raises(ContractError):
         rule(5, VisibleView(d, 5))
@@ -344,6 +344,26 @@ def test_compute_thresholds_block_index_range():
         compute_thresholds(0, plan, 3)
     with pytest.raises(ContractError):
         compute_thresholds(-1, plan, 1)
+
+
+def plan_rules():
+    for n in (6, 34, 100, 256, 1000, 4096):
+        plan = make_partition(n)
+        yield plan, BlockThresholdRule(canonical_pairing(n), plan.blocks, plan)
+    for n, k in [(12, 3), (16, 4), (18, 3), (12, 6), (16, 2)]:
+        plan = equal_plan(n, k)
+        yield plan, BlockThresholdRule(canonical_pairing(n), plan.blocks, plan)
+    for n, k, seed in [(8, 2, 1), (12, 3, 2), (12, 2, 3)]:
+        plan, pairing = shuffled_plan(n, k, seed)
+        yield plan, BlockThresholdRule(pairing, plan.blocks, plan)
+
+
+def test_plan_tables_are_compute_thresholds_at_every_outside_count():
+    # both paths read the tables, so the rule itself never rechecks them against compute_thresholds
+    for plan, rule in plan_rules():
+        for i, (_, table) in enumerate(rule._blocks, start=1):
+            for o in range(plan.n - len(plan.blocks[i - 1]) + 1):
+                assert table[o % len(table)] == compute_thresholds(o, plan, i), (plan.n, i, o)
 
 
 def test_thresholds_agree_across_observers():
@@ -544,9 +564,42 @@ def test_partial_bulk_matches_per_player_at_fixed_thresholds():
 def test_bulk_matches_per_player_for_any_fixed_thresholds(blue_max, red_min):
     # BlockThresholdRule itself does not require blue_max + 2 <= red_min;
     # closer thresholds reach the bulk path's split cases
-    rule = BlockThresholdRule(canonical_pairing(8), (range(1, 7),), ((blue_max, red_min),))
+    rule = BlockThresholdRule(canonical_pairing(8), (range(1, 7),), (((blue_max, red_min),),))
     strategy = StrategyProfile(8, rule, "partial")
     assert_bulk_matches_per_player(strategy, range(1 << 8))
+
+
+def test_explicit_tables_no_plan_makes(monkeypatch):
+    # periods 2 and 3, and the entry (2, 3) is one apart: no plan builds these tables
+    rule = BlockThresholdRule(
+        canonical_pairing(12),
+        (range(1, 7), range(7, 13)),
+        (((1, 4), (0, 3)), ((2, 3), (0, 4), (1, 5))),
+    )
+    assert tuple(part.modulus for part in rule.parts) == (2, 3)
+    strategy = StrategyProfile(12, rule, "tables")
+    assert_orbit_exact(monkeypatch, strategy, 12)
+    assert_bulk_matches_per_player(strategy, range(1 << 12))
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [(((0, 3),),), (((0, 3),), ((0, 3),), ((0, 3),)), (((0, 3),), ())],
+    ids=["too-few", "too-many", "empty"],
+)
+def test_block_rule_needs_one_nonempty_table_per_block(tables):
+    with pytest.raises(ContractError, match="one non-empty table"):
+        BlockThresholdRule(canonical_pairing(8), ((1, 2, 3, 4), (5, 6, 7, 8)), tables)
+
+
+def test_block_rule_rejects_overlapping_blocks():
+    with pytest.raises(ContractError, match="overlap"):
+        BlockThresholdRule(canonical_pairing(8), ((1, 2, 3, 4), (3, 4, 5, 6)), (((0, 3),),) * 2)
+
+
+def test_block_rule_rejects_a_block_outside_the_pairing():
+    with pytest.raises(ContractError, match="pairing's players"):
+        BlockThresholdRule(canonical_pairing(8), ((1, 2, 3, 4), (9, 10)), (((0, 3),), ((-1, 1),)))
 
 
 def reversed_pairing(n):
