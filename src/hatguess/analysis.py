@@ -8,15 +8,18 @@ and their exact total are read.
 
 An exhaustive sweep of a rule that declares its ``parts`` (the contract
 is on ``StrategyProfile``) runs over orbits, in one process.  Inside a
-part the guesses depend only on how many of its cells are of each type and
-on what the part reads of the red total R, so the sweep runs in stages:
+part, at a fixed value read of the red total R and a fixed red count of
+its own, each cell's correct guesses depend only on the cell's type, so a
+composition of cell types scores the sum of count * score, and the sweep
+runs in stages:
 
-* tables: each part's correct guesses per composition of cell types and
-  read value, read off real bulk calls, most of them joint calls that
-  place a composition in every part; an entry met twice must match;
-* checks: on seeded masks each part scores what its table says, and the
-  one player who may read R exactly, the odd-n spectator, is right in
-  exactly one of their two colors at every R;
+* tables: each part's score per cell type, per red count and read value,
+  read off one or two bulk calls that place compositions holding every
+  type that red count allows; cells of one type must score alike, and a
+  type met twice must match;
+* checks: on seeded masks each part scores what its scores per type give,
+  and the one player who may read R exactly, the odd-n spectator, is
+  right in exactly one of their two colors at every R;
 * combine: every other part enters as its arrangements per (red hats,
   correct); a min-plus DP over R gives the worst loss, products of
   polynomials the exact histogram, which the spectator multiplies by (1 + y);
@@ -28,8 +31,9 @@ on what the part reads of the red total R, so the sweep runs in stages:
 
 The bit sweep, one bulk call per distribution, serves every other rule
 and is the reference the tests compare the orbit sweep against.  A sweep
-whose estimated cost (bulk calls plus histogram bytes) exceeds a fixed
-budget raises ``CapacityError``.  The bit sweep and the sampler split
+whose estimated cost (distributions the bit sweep scores, or compositions
+the orbit sweep walks per read value plus its histogram bytes) exceeds a
+fixed budget raises ``CapacityError``.  The bit sweep and the sampler split
 their work into chunks that merge associatively, so spreading them across
 worker processes cannot change the result; the process pool is imported
 only when one starts.
@@ -50,11 +54,10 @@ from __future__ import annotations
 import math
 import os
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice, product
+from itertools import accumulate, product, zip_longest
 from operator import mul, sub
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
@@ -73,14 +76,18 @@ SEARCH_MAX_N = 3
 # identity and Robbins checks; a running binomial row: 7-11 ms at 4096, 24-27 ms at 8192 (2 vCPU)
 IDENTITY_MAX_N = 4096
 
-# An exhaustive sweep may cost this many units: one unit is a bulk call or a
-# byte of the orbit sweep's packed histogram state.  The bit sweep reaches it
-# between n = 24 and n = 25.
+# An exhaustive sweep may cost this many units: one unit is a distribution the
+# bit sweep scores, a composition per read value the orbit sweep walks, or a
+# byte of its packed histogram state.  The bit sweep reaches it between
+# n = 24 and n = 25.
 _SWEEP_BUDGET = 3 << 23
 _CELL_CHECKS = 32  # seeded masks on which every orbit sweep compares each part with its table
 _INF = 1 << 62  # no distribution reaches this state
 
 _SAMPLE_CHUNK = 1024  # fixed so reports do not depend on the worker count
+
+# cell types by arity (single players, pairs) in ``_compositions`` order, named by each role's hat
+_TYPES = {1: ("R", "B"), 2: ("RR", "RB", "BR", "BB")}
 
 
 @dataclass(frozen=True)
@@ -224,239 +231,177 @@ def _check_parts(strategy: StrategyProfile, n: int) -> tuple[Part, ...]:
 
 
 def _orbit_cost(n: int, parts: tuple[Part, ...]) -> int:
-    """An upper bound on the bulk calls of the orbit sweep (compositions
-    times read values, per part, the calls it would make one part at a time;
-    the exact reader reads n values of R) plus the bytes of its packed
-    histogram state.  Joint calls fill the entries of several parts at once,
-    so the sweep makes fewer."""
-    calls = 0
+    """The orbit sweep's estimated work: the compositions of cell types its
+    rows and witness walk, per part and per value it reads (the exact
+    reader reads n values of R), plus the bytes of its packed histogram
+    state.  Its bulk calls, one or two per red count and read value of a
+    part, are far fewer."""
+    walks = 0
     for part in parts:
         kinds = 1 << len(part.cells[0])
-        calls += math.comb(len(part.cells) + kinds - 1, kinds - 1) * (part.modulus or n)
+        walks += math.comb(len(part.cells) + kinds - 1, kinds - 1) * (part.modulus or n)
     keys = math.lcm(*(part.modulus for part in parts if part.modulus))
-    return calls + keys * (n + 1) ** 2 // 8
+    return walks + keys * (n + 1) ** 2 // 8
 
 
-def _compositions(cells: int, kinds: int) -> Iterator[tuple[int, ...]]:
+def _compositions(cells: int, kinds: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every tuple of ``kinds`` (2 or 4) counts that sum to ``cells``, each
-    count from its largest down, the first count slowest."""
+    count from its largest down, the first count slowest, with its red
+    hats: one per R cell, two per RR, one per RB or BR."""
     if kinds == 2:
-        return ((a, cells - a) for a in range(cells, -1, -1))
+        return (((a, cells - a), a) for a in range(cells, -1, -1))
     return (
-        (a, b, c, cells - a - b - c)
+        ((a, b, c, cells - a - b - c), 2 * a + b + c)
         for a in range(cells, -1, -1)
         for b in range(cells - a, -1, -1)
         for c in range(cells - a - b, -1, -1)
     )
 
 
+def _covers(cells: int, arity: int, c: int) -> list[tuple[int, ...]]:
+    """Compositions with c red hats that between them hold every cell type
+    that some composition with c red hats holds.  Single players: the only
+    one.  Pairs: one holds all four types when 4 <= c <= 2 * cells - 4;
+    otherwise an even c puts RR and BB in one and RB and BR in the other,
+    and an odd c has one mixed cell, RB in one and BR in the other."""
+    if arity == 1:
+        return [(c, cells - c)]
+    half, odd = divmod(c, 2)
+    if 4 <= c <= 2 * cells - 4:
+        return [(half - 1, 1 + odd, 1, cells - half - 1 - odd)]
+    if odd:
+        return [(half, 1, 0, cells - half - 1), (half, 0, 1, cells - half - 1)]
+    if 0 < c < 2 * cells:
+        return [(half, 0, 0, cells - half), (half - 1, 1, 1, cells - half - 1)]
+    return [(half, 0, 0, cells - half)]
+
+
+def _placements(part: Part) -> list[tuple[int, int, list[tuple[int, list[int], bool]]]]:
+    """(red hats c, red mask, types) of each of the part's covers
+    (``_covers``), c ascending, its cells taking their types in order.
+    ``types`` holds, for each type the cover holds, (type, the mask of its
+    cells' players in each role: the first player of a pair, then the
+    second; whether a cover before it with c red hats holds the type too)."""
+    arity = len(part.cells[0])
+    roles = [[0] for _ in range(arity)]  # roles[b][j]: the players of role b in the first j cells
+    for cell in part.cells:
+        for role, p in zip(roles, cell):
+            role.append(role[-1] | 1 << (p - 1))
+    placed = []
+    for c in range(arity * len(part.cells) + 1):
+        held = set()
+        for comp in _covers(len(part.cells), arity, c):
+            red, types, start = 0, [], 0
+            for kind, count in enumerate(comp):
+                if count:
+                    end = start + count
+                    players = [role[end] ^ role[start] for role in roles]
+                    for members, hat in zip(players, _TYPES[arity][kind]):
+                        if hat == "R":
+                            red |= members
+                    types.append((kind, players, kind in held))
+                    held.add(kind)
+                    start = end
+            placed.append((c, red, types))
+    return placed
+
+
 class _PartTable(NamedTuple):
-    """One part's correct guesses, per composition of its cell types and per
-    value v of the red total R it reads: v = R mod len(cor), which is R mod k
-    for a part with modulus k >= 1 and R itself for the exact reader, whose
-    table has a value for every R.  Every entry is read off a real bulk call
-    (``_part_tables``).  Compositions are indexed in ``_compositions`` order;
-    _UNREACHABLE marks a pair (v, composition) that no distribution has."""
+    """One part's correct guesses per cell of each type, per value v of the
+    red total R it reads and per red count c of its own:
+    ``scores[v][c][kind]``, the types in ``_compositions`` order (R, B or
+    RR, RB, BR, BB).  v = R mod len(scores), which is R mod k for a part
+    with modulus k >= 1 and R itself for the exact reader.  scores[v][c] is
+    None where no distribution has that v and c, and a type that no
+    composition with c red hats holds scores 0.  A composition scores the
+    sum of count * score over its types.  Every score is read off a real
+    bulk call (``_part_tables``)."""
 
     part: Part
     mask: int
-    reds: array  # red hats per composition
-    cor: list[array]  # cor[v][i]: correct guesses inside the part
-
-
-_UNREACHABLE = 0xFFFF
-
-
-def _members(roles: list[list[int]], r: int, big_k: int) -> Iterator[tuple[int, int, int]]:
-    """(index, red hats c, red mask) of each composition of a part whose c is
-    r mod big_k, in ``_compositions`` order.  The cells take their types in
-    order, and ``roles[b][j]`` holds the players of role b (the first or
-    second of a pair, or the single player) in the first j cells."""
-    if len(roles) == 1:
-        (ones,) = roles
-        cells = len(ones) - 1
-        for a in range(cells - (cells - r) % big_k, -1, -big_k):
-            yield cells - a, a, ones[a]
-        return
-    # a RR cells, b RB, c BR, then BB: x is red in the first a + b, y in the first a and the c BR
-    xs, ys = roles
-    cells = len(xs) - 1
-    index = 0
-    for a in range(cells, -1, -1):
-        for b in range(cells - a, -1, -1):
-            top, low = cells - a - b, 2 * a + b
-            for c in range(top - (top + low - r) % big_k, -1, -big_k):
-                yield index + top - c, low + c, xs[a + b] | ys[a] | (ys[a + b + c] ^ ys[a + b])
-            index += top + 1
-
-
-class _Filling:
-    """A part's table while ``_part_tables`` fills it.
-
-    For a part that reads R mod k, the compositions fall into classes by
-    their red hats c mod K (K the lcm of every such modulus).  ``left[v][r]``
-    counts the entries of read value v and class r not yet filled that some
-    distribution reaches (the class decides that: R - c, the counted red
-    hats outside the part, must be v - c mod k and at most their number),
-    ``walks[v][r]`` yields them in order, from ``_members``, and ``first[r]``
-    is the first composition of class r, None if it has none."""
-
-    def __init__(self, part: Part, r_mask: int, big_k: int):
-        self.part, self.mask, self.k = part, part.mask, part.modulus
-        self.roles = [[0] for _ in part.cells[0]]
-        for cell in part.cells:
-            for role, p in zip(self.roles, cell):
-                role.append(role[-1] | 1 << (p - 1))
-        cells = len(part.cells)
-        if len(self.roles) == 1:  # a R cells, a from cells down
-            self.reds = array("H", range(cells, -1, -1))
-        else:  # 2a + b + c at (a, b, c, d), c from cells - a - b down
-            self.reds = array("H")
-            for a in range(cells, -1, -1):
-                for b in range(cells - a, -1, -1):
-                    self.reds.extend(range(a + cells, 2 * a + b - 1, -1))
-        self.outside = r_mask & ~self.mask
-        rest = self.outside.bit_count()
-        self.cor = [array("H", [_UNREACHABLE]) * len(self.reds) for _ in range(self.k or rest + 1)]
-        if not self.k:  # the exact reader: every R up to rest, in either color
-            return
-        sizes = [0] * big_k
-        for c in self.reds:
-            sizes[c % big_k] += 1
-        self.left = [
-            [size if (v - r) % self.k <= rest else 0 for r, size in enumerate(sizes)]
-            for v in range(self.k)
-        ]
-        self.walks = [[_members(self.roles, r, big_k) for r in range(big_k)] for _ in range(self.k)]
-        self.first = [next(_members(self.roles, r, big_k), None) for r in range(big_k)]
+    scores: list[list[list[int] | None]]
 
 
 def _part_tables(
     strategy: StrategyProfile, r_mask: int, parts: tuple[Part, ...]
 ) -> list[_PartTable]:
-    """Every part's table, most entries read off joint bulk calls.
+    """Every part's scores per cell type, read off real bulk calls.
 
-    A joint call places one composition in every part and reads each part's
-    entry at the value it reads of the call's R.  The calls run residue by
-    residue rho of R mod K.  Each part that reads R mod k takes the
-    unfilled compositions of its largest class (red hats c mod K) at
-    v = rho mod k; a part with none left takes the first composition of a
-    class, whose entry is checked again.  One part changes class so that the
-    classes add up to rho, and the calls repeat while every class taken has
-    entries left.  The exact reader takes a color whose entry at R is
-    unfilled.  An entry met a second time must match, or the parts
-    declaration does not hold.  Entries that no joint call reaches are
-    filled one part at a time: its cells take their types in order, and the
-    lowest players outside it that R counts are red as often as v needs.
+    At each value v a part reads and each red count c of its own, a call
+    places each of the part's covers (``_placements``), and each type it
+    holds is scored role by role: all its cells right in a role, or none.
+    Parts that read nothing share calls: call i places each one's i-th
+    cover.  A part that reads R, mod k or exactly, goes alone, with the
+    lowest players outside it that R counts red as often as v needs.  Every
+    cell of one type must score alike, and a type that two covers hold must
+    score the same in both, or the parts declaration does not hold.
     """
     bulk = strategy.bulk
-    big_k = math.lcm(*(part.modulus for part in parts if part.modulus))
-    fills = [_Filling(part, r_mask, big_k) for part in parts]
-    moduli = [f for f in fills if f.k]
-    exact = next((f for f in fills if not f.k), None)
 
-    def compare(f: _Filling, got: int, want: int) -> None:
-        if got != want:
-            raise ContractError(
-                f"{strategy.name}: the part {f.part.cells} has {got} correct guesses, and "
-                f"{want} on another distribution with the same composition of cell types "
-                f"and read value; its guesses depend on more, so the rule's parts "
-                f"declaration does not hold"
-            )
-
-    for rho in range(big_k):
-        lefts = [f.left[rho % f.k] for f in moduli]
-        while any(map(any, lefts)):
-            fresh = [any(left) for left in lefts]
-            classes = [left.index(max(left)) for left in lefts]
-            need = (rho - sum(classes)) % big_k
-            if need:  # a part with nothing left moves first, else one with entries left there
-                movable = [
-                    j
-                    for flexible in (True, False)
-                    for j, f in enumerate(moduli)
-                    if fresh[j] != flexible
-                    and (lefts[j] if fresh[j] else f.first)[(classes[j] + need) % big_k]
-                ]
-                if not movable:
+    def read(part: Part, scores: list[int], v: int, c: int, right: int, types: list) -> None:
+        for kind, players, again in types:
+            score = 0
+            for members in players:  # every cell of the type right in this role, or none
+                got = right & members
+                if got and got != members:
+                    score = None
                     break
-                classes[movable[0]] = (classes[movable[0]] + need) % big_k
-            runs = min(left[r] for left, r, new in zip(lefts, classes, fresh) if new)
-            walks, targets, fixed = [], [], []
-            for f, r, new in zip(moduli, classes, fresh):
-                cor = f.cor[rho % f.k]
-                if new:
-                    walks.append(f.walks[rho % f.k][r])
-                    targets.append((cor, f.mask))
-                else:
-                    i, c, m = f.first[r]
-                    fixed.append((f, cor[i], c, m))
-            fixed_red = sum(m for *_, m in fixed)
-            fixed_c = sum(c for _, _, c, _ in fixed)
-            for picks in islice(zip(*walks), runs):
-                red, r_total = fixed_red, fixed_c
-                for _, c, m in picks:
-                    red |= m
-                    r_total += c
-                if exact is not None:
-                    row = exact.cor[r_total]
-                    color = 1 if row[0] != _UNREACHABLE and row[1] == _UNREACHABLE else 0
-                    if not color:
-                        red |= exact.mask
-                right = ~(bulk(red) ^ red)
-                for (cor, mask), (i, _, _) in zip(targets, picks):
-                    cor[i] = (right & mask).bit_count()
-                for f, want, _, _ in fixed:
-                    compare(f, (right & f.mask).bit_count(), want)
-                if exact is not None:
-                    got = (right & exact.mask).bit_count()
-                    if row[color] == _UNREACHABLE:
-                        row[color] = got
-                    else:
-                        compare(exact, got, row[color])
-            for left, r, new in zip(lefts, classes, fresh):
-                if new:
-                    left[r] -= runs
-    for f in fills:
-        if f.k:
-            todo = [(v, w) for v, ws in enumerate(f.walks) for w, m in zip(ws, f.left[v]) if m]
-        else:  # (index, c, red mask) of R and of B
-            colors = ((0, 1, f.mask), (1, 0, 0))
-            todo = [(v, colors) for v, row in enumerate(f.cor) if _UNREACHABLE in row]
-        if not todo:
-            continue
-        outs = [0]
-        rest = f.outside
-        for _ in range(rest.bit_count() if not f.k else min(f.k - 1, rest.bit_count())):
+                score += got == members
+            if score is None or again and scores[kind] != score:
+                raise ContractError(
+                    f"{strategy.name}: the {_TYPES[len(part.cells[0])][kind]} cells of the part "
+                    f"{part.cells} score differently at {c} red hats and read value {v}; a cell's "
+                    f"correct guesses must depend only on its type there, so the rule's parts "
+                    f"declaration does not hold"
+                )
+            scores[kind] = score
+
+    tables, shared = [], []
+    for part in parts:
+        arity, k = len(part.cells[0]), part.modulus
+        mask = part.mask
+        rest = r_mask & ~mask
+        reads = k or rest.bit_count() + 1
+        outs = [0]  # outs[t]: the lowest t players outside the part that R counts
+        for _ in range(min(reads - 1, rest.bit_count())):
             outs.append(outs[-1] | rest & -rest)
             rest &= rest - 1
-        for v, walk in todo:
-            cor = f.cor[v]
-            for i, c, m in walk:
-                if cor[i] == _UNREACHABLE:
-                    both = m | outs[(v - c) % f.k if f.k else v]
-                    cor[i] = (~(bulk(both) ^ both) & f.mask).bit_count()
-    return [_PartTable(f.part, f.mask, f.reds, f.cor) for f in fills]
-
-
-def _comp_index(comp: list[int]) -> int:
-    """The index of ``comp`` in ``_compositions`` order.  Two kinds (R, B):
-    the count of B.  Four (RR, RB, BR, BB): C(s + 2, 3) compositions have
-    fewer RR than ``comp``, s = RB + BR + BB, C(t + 1, 2) of the rest fewer
-    RB, t = BR + BB, and BB of the rest fewer BR."""
-    if len(comp) == 2:
-        return comp[1]
-    _, rb, br, bb = comp
-    s, t = rb + br + bb, br + bb
-    return s * (s + 1) * (s + 2) // 6 + t * (t + 1) // 2 + bb
+        # scores[v][c][kind], None where the red hats outside, (v - c) mod k or v, are
+        # more than the players outside that R counts
+        scores = [
+            [
+                [0] * (1 << arity) if ((v - c) % k if k else v) < len(outs) else None
+                for c in range(arity * len(part.cells) + 1)
+            ]
+            for v in range(reads)
+        ]
+        placed = _placements(part)
+        if k == 1:
+            shared.append((part, scores[0], placed))
+        else:
+            for v, row in enumerate(scores):
+                for c, red, types in placed:
+                    if row[c] is not None:
+                        both = red | outs[(v - c) % k if k else v]
+                        read(part, row[c], v, c, ~(bulk(both) ^ both), types)
+        tables.append(_PartTable(part, mask, scores))
+    for calls in zip_longest(*(placed for _, _, placed in shared)):
+        red = sum(call[1] for call in calls if call)
+        right = ~(bulk(red) ^ red)
+        for (part, row, _), call in zip(shared, calls):
+            if call:
+                c, _, types = call
+                read(part, row[c], 0, c, right, types)
+    return tables
 
 
 def _check_cells(strategy: StrategyProfile, n: int, r_mask: int, tables: list[_PartTable]) -> None:
     """The parts promise on ``_CELL_CHECKS`` seeded masks, one bulk call each:
-    every part must score its table's correct guesses for the mask's composition
-    of cell types and the value it reads of R, all the sweep takes from a part.
-    A part of pairs reads its composition off popcounts over its pairs grouped
-    by partner distance d = y - x, the way the block rule plays them."""
+    every part must score what its scores per cell type give for the mask's
+    composition of cell types, its red count and the value it reads of R,
+    the sum of count * score, all the sweep takes from a part.  A part of
+    pairs reads its composition off popcounts over its pairs grouped by
+    partner distance d = y - x, the way the block rule plays them."""
     readers = []
     for t in tables:
         groups: dict[int, tuple[int, int]] = {}
@@ -486,12 +431,13 @@ def _check_cells(strategy: StrategyProfile, n: int, r_mask: int, tables: list[_P
             else:
                 comp = [reds, cells - reds]
             got = (right & t.mask).bit_count()
-            want = t.cor[r % len(t.cor)][_comp_index(comp)]
+            want = sum(map(mul, comp, t.scores[r % len(t.scores)][reds]))
             if got != want:
                 raise ContractError(
-                    f"{strategy.name}: the part {t.part.cells} has {got} correct guesses, its "
-                    f"table {want}; moving the cells or the hats it may not read moves its "
-                    f"guesses, so the rule's parts declaration does not hold"
+                    f"{strategy.name}: the part {t.part.cells} has {got} correct guesses, and "
+                    f"its scores per cell type give {want}; its guesses depend on more than "
+                    f"its cells' types, its red count and what it reads of R, so the rule's "
+                    f"parts declaration does not hold"
                 )
 
 
@@ -508,16 +454,16 @@ def _min_plus(old: list[int], best: list[int]) -> list[int]:
 def _row(table: _PartTable) -> list[dict[tuple[int, int], int]]:
     """How a part that reads R mod k enters ``_combine``: for each read value
     v, (red hats c, correct k) -> the arrangements of its cells that have
-    them, the multinomial cells! / prod(count!) summed over the compositions."""
+    them, the multinomial cells! / prod(count!) summed over the compositions,
+    each scoring the sum of count * score over its cell types."""
     cells = len(table.part.cells)
     fact = list(accumulate(range(1, cells + 1), mul, initial=1))  # fact[i] = i!
-    comps = _compositions(cells, 1 << len(table.part.cells[0]))
-    row: list[dict[tuple[int, int], int]] = [{} for _ in table.cor]
-    for i, (comp, c) in enumerate(zip(comps, table.reds)):
+    row: list[dict[tuple[int, int], int]] = [{} for _ in table.scores]
+    for comp, c in _compositions(cells, 1 << len(table.part.cells[0])):
         weight = fact[cells] // math.prod(map(fact.__getitem__, comp))
-        for counts, cor in zip(row, table.cor):
-            k = cor[i]
-            if k != _UNREACHABLE:
+        for counts, scores in zip(row, table.scores):
+            if scores[c] is not None:
+                k = sum(map(mul, comp, scores[c]))
                 counts[c, k] = counts.get((c, k), 0) + weight
     return row
 
@@ -575,7 +521,8 @@ def _combine(
 def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> _Partial:
     """The exhaustive sweep of a rule with ``parts``, over orbits, in stages:
 
-    1. tables, most entries read off joint bulk calls (``_part_tables``);
+    1. tables: each part's scores per cell type, per red count and read
+       value, read off one or two bulk calls each (``_part_tables``);
     2. checks: each part on seeded masks (``_check_cells``), and the exact
        reader right in exactly one of its two colors at every R;
     3. ``_combine`` of every other part's ``_row``;
@@ -592,7 +539,8 @@ def _orbit_sweep(strategy: StrategyProfile, n: int, parts: tuple[Part, ...]) -> 
     tables = _part_tables(strategy, r_mask, parts)
     _check_cells(strategy, n, r_mask, tables)
     exact = next((t for t in tables if t.part.modulus == 0), None)
-    if exact is not None and any(cor[0] + cor[1] != 1 for cor in exact.cor):
+    # scores[R][1][0]: right in red (type R, 1 red hat); scores[R][0][1]: right in blue
+    if exact is not None and any(row[1][0] + row[0][1] != 1 for row in exact.scores):
         raise ContractError(
             f"{strategy.name}: player {exact.mask.bit_length()} reads R exactly but is not "
             f"right in exactly one of their two colors for every R; their guess depends "
@@ -651,11 +599,11 @@ def _reader(
     With no exact reader, one option per R, with no cells."""
     if exact is None:
         return [((0,), r, -max(r, n - r)) for r in range(rho, size, big_k)]
-    colors = [(_subset_sums(comp), c) for comp, c in zip(_compositions(1, 2), exact.reds)]
+    colors = [(_subset_sums(comp), comp, c) for comp, c in _compositions(1, 2)]
     return [
-        (sums, r, exact.cor[r][i] - max(r + c, n - r - c))
+        (sums, r, sum(map(mul, comp, exact.scores[r][c])) - max(r + c, n - r - c))
         for r in range(rho, size, big_k)
-        for i, (sums, c) in enumerate(colors)
+        for sums, comp, c in colors
     ]
 
 
@@ -755,11 +703,11 @@ def _witness(others, chain, rho, big_k, n, worst, exact) -> Generator[bool, None
             bound = rooms[j] = room(j)
             if options[j] is None:
                 t = others[j]
-                comps = _compositions(len(t.part.cells), 1 << len(t.part.cells[0]))
+                scores = t.scores[rho % len(t.scores)]
                 options[j] = [
                     (_subset_sums(comp), c, k)
-                    for comp, c, k in zip(comps, t.reds, t.cor[rho % len(t.cor)])
-                    if k <= bound[c]
+                    for comp, c in _compositions(len(t.part.cells), 1 << len(t.part.cells[0]))
+                    if scores[c] is not None and (k := sum(map(mul, comp, scores[c]))) <= bound[c]
                 ]
             else:
                 options[j] = [o for o in options[j] if o[2] <= bound[o[1]]]
@@ -851,7 +799,8 @@ def exhaustive_worst_case(
     if cost > _SWEEP_BUDGET:
         raise CapacityError(
             f"an exhaustive sweep of {strategy.name} at n={n} would cost about {cost:.3g} "
-            f"units (bulk calls and histogram bytes), over the budget of {_SWEEP_BUDGET}; "
+            f"units (distributions scored, or compositions walked per read value and "
+            f"histogram bytes), over the budget of {_SWEEP_BUDGET}; "
             f"use monte_carlo for sampled checks"
         )
     if orbits:

@@ -196,7 +196,8 @@ class Part(NamedTuple):
     says how the part reads the red total R: 1 not at all, k >= 2 as R mod
     k, 0 exactly (R mod 0 = R).  R counts the red hats of every player
     outside the part that reads it exactly, or of all players when no part
-    does.
+    does.  At a fixed value read of R and a fixed red count of the part,
+    each cell's correct guesses depend only on the cell's own type.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -221,13 +222,15 @@ class StrategyProfile:
     A rule with a fast path may also declare ``parts = (Part, ...)``.  The
     parts' cells partition the players, and a part that reads R exactly is
     one single player, of whom there is at most one (the odd-n spectator):
-    R is then the red count of everyone else.  The promise: the guesses
-    inside a part depend only on how many of its cells are of each type and
-    on what its ``modulus`` lets it read of R.  Moving the hats of one cell
-    onto another cell of the same part moves that cell's guesses with them.
-    The exhaustive sweep of such a rule scores each part once per
-    composition of cell types and per value it reads, instead of every
-    distribution, and checks the promise on every run.
+    R is then the red count of everyone else.  The promise: at a fixed
+    value that its ``modulus`` lets a part read of R and a fixed count of
+    red hats inside the part, each cell's correct guesses depend only on
+    the cell's own type (RR, RB, BR, BB, or R, B), so the part scores the
+    sum over its types of count * score.  The block rule keeps it: a member
+    decides from the red count it sees in its block, the outside count and
+    its partner's hat.  The exhaustive sweep of such a rule reads each
+    part's score per cell type at each red count and read value, instead of
+    scoring every distribution, and checks the promise on every run.
     """
 
     n: int

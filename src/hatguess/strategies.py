@@ -27,8 +27,9 @@ sweeps can fan them out across worker processes.  Each built-in rule also
 implements ``bulk_guesses(red_mask) -> guess_mask``, a whole-profile bit
 fast path used by the exhaustive and sampled sweeps, and declares its
 cells and what each part reads in ``parts`` (the contract is on
-``StrategyProfile``), which lets the exhaustive sweep score each part once
-per composition of cell types instead of every distribution.
+``StrategyProfile``), which lets the exhaustive sweep score each part's
+cell types per red count and value read of the red total instead of every
+distribution.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The orbit-compressed exhaustive sweep against the bit sweep, its reference.
 
-Rules that declare ``parts`` are swept by scoring each part once per
-composition of its cell types and per value of the red total it reads.
+Rules that declare ``parts`` are swept by scoring each part's cell types
+per red count of the part and per value of the red total it reads.
 Every report here must equal, field for field, the report of the bit
 sweep (``_sweep_chunk`` over all 2^n distributions): worst loss, earliest
 witness and histogram, and so the min, total and count read off it.
@@ -10,11 +10,13 @@ witness and histogram, and so the min, total and count read off it.
 import concurrent.futures
 import random
 import re
-from array import array
+from itertools import product
+from operator import mul
 
 import pytest
 
 from hatguess import (
+    CapacityError,
     Color,
     ContractError,
     HatDistribution,
@@ -255,10 +257,12 @@ class CountsTooLittle:
 
 
 def one_part_table(bulk, r_mask, part):
-    """A part's table from one bulk call per composition and read value, on
-    a mask where the part's cells take their types in order and the lowest
-    players outside it that R counts are red as often as v needs: the
-    reference for the sweep's joint tables."""
+    """A part's correct guesses from one bulk call per composition and read
+    value, on a mask where the part's cells take their types in order and
+    the lowest players outside it that R counts are red as often as v
+    needs: (reds, cor), reds[i] the red hats of the i-th composition in
+    ``_compositions`` order and cor[v][i] its correct guesses, None where no
+    distribution has them.  The reference for the sweep's per-type tables."""
     cells = part.cells
     arity = len(cells[0])
     roles = [[0] for _ in range(arity)]
@@ -274,9 +278,9 @@ def one_part_table(bulk, r_mask, part):
         outs.append(outs[-1] | bit)
         rest ^= bit
     reads = part.modulus or len(outs)
-    comps = list(analysis._compositions(len(cells), 1 << arity))
-    cor = [array("H", [analysis._UNREACHABLE]) * len(comps) for _ in range(reads)]
-    reds = array("H")
+    comps = [comp for comp, _ in analysis._compositions(len(cells), 1 << arity)]
+    cor = [[None] * len(comps) for _ in range(reads)]
+    reds = []
     for i, comp in enumerate(comps):
         red = start = 0
         for kind, count in enumerate(comp):
@@ -292,25 +296,34 @@ def one_part_table(bulk, r_mask, part):
             if t < len(outs):
                 both = red | outs[t]
                 cor[v][i] = (~(bulk(both) ^ both) & mask).bit_count()
-    return analysis._PartTable(part, mask, reds, cor)
+    return reds, cor
 
 
-def one_part_tables(strategy, r_mask, parts):
-    return [one_part_table(strategy.bulk, r_mask, part) for part in parts]
+def spectator_read_alone(part_tables):
+    """``part_tables`` for CountsTooLittle, with the spectator scored as a
+    call that places it alone reads it: hats 1 and 2 blue, so it calls blue,
+    right in blue (type B, 0 red hats) and wrong in red."""
+
+    def tables(strategy, r_mask, parts):
+        pair, _ = part_tables(strategy, r_mask, parts)
+        return [pair, analysis._PartTable(parts[1], 0b100, [[(0, 1), (0, 0)]])]
+
+    return tables
 
 
 def test_oracle_catches_a_counted_mask_too_small(monkeypatch):
     strategy = StrategyProfile(3, CountsTooLittle(), "counts-too-little")
     oracle = _sweep_chunk((strategy, 3, 0, 8))
     assert oracle.worst_loss == 1
-    with pytest.raises(ContractError, match="parts declaration does not hold"):
+    with pytest.raises(ContractError, match=r"the part \(\(3,\),\) has 0 .*per cell type give 1"):
         exhaustive_worst_case(strategy, 3)  # the parts check, on a mask with hats 1 or 2 red
     monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
-    with pytest.raises(ContractError, match=r"the part \(\(3,\),\) .*same composition"):
-        exhaustive_worst_case(strategy, 3)  # the joint compare: the spectator reads hats 1 and 2
-    monkeypatch.setattr(analysis, "_part_tables", one_part_tables)
+    # the spectator shares the pair's calls and is read right in both colors
+    with pytest.raises(ContractError, match="counted 8 distributions and 16 correct guesses"):
+        exhaustive_worst_case(strategy, 3)  # the guard on the total
+    monkeypatch.setattr(analysis, "_part_tables", spectator_read_alone(analysis._part_tables))
     with pytest.raises(ContractError, match="worst loss 2 .*parts declaration does not hold"):
-        exhaustive_worst_case(strategy, 3)  # the witness re-check, on its own
+        exhaustive_worst_case(strategy, 3)  # the witness re-check, on its own: the total holds
 
 
 class ReadsTheOtherPart:
@@ -332,15 +345,15 @@ class ReadsTheOtherPart:
         return self.rule.bulk_guesses(red_mask) ^ ((red_mask & 0b1111).bit_count() == 1) << 4
 
 
-def test_only_the_joint_compare_sees_a_part_read_another(monkeypatch):
+def test_a_part_that_reads_another_part_is_caught(monkeypatch):
     strategy = StrategyProfile(6, ReadsTheOtherPart(), "reads-the-other-part")
+    with pytest.raises(ContractError, match=r"the part \(\(5, 6\),\) has 0 .*per cell type give 1"):
+        exhaustive_worst_case(strategy, 6)  # the parts check
+    # the shared calls read (5, 6) as RB and BR beside one red hat in 1..4,
+    # where player 5 flips, so its table scores them 2
     monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
-    with pytest.raises(ContractError, match=r"the part \(\(5, 6\),\) .*parts declaration does not hold"):
-        exhaustive_worst_case(strategy, 6)
-    # one part at a time, every other hat is blue: no later check notices
-    monkeypatch.setattr(analysis, "_part_tables", one_part_tables)
-    report = exhaustive_worst_case(strategy, 6)
-    assert report != analysis._report(strategy, "exhaustive", _sweep_chunk((strategy, 6, 0, 64)))
+    with pytest.raises(ContractError, match="counted 64 distributions and 224 correct guesses"):
+        exhaustive_worst_case(strategy, 6)  # the guard on the total
 
 
 class MissesAPlayer(CountsTooLittle):
@@ -458,6 +471,19 @@ def test_odd_composite_999_fits_the_sweep_budget():
     assert analysis._orbit_cost(999, parts) <= analysis._SWEEP_BUDGET
 
 
+def test_the_budget_admits_the_composite_to_1981():
+    """The orbit sweep's estimate, compositions walked per read value plus
+    histogram bytes, at the edge of the budget; no sweep runs."""
+    costs = {1980: 25_134_361, 1981: 25_142_286, 1982: 25_205_289, 1983: 25_213_222}
+    for n, cost in costs.items():
+        strategy = composite_strategy(n)
+        assert analysis._orbit_cost(n, analysis._check_parts(strategy, n)) == cost
+        assert (cost <= analysis._SWEEP_BUDGET) == (n <= 1981)
+        if n > 1981:
+            with pytest.raises(CapacityError, match="compositions walked per read value"):
+                exhaustive_worst_case(strategy, n)
+
+
 def test_factored_sweep_calls_the_bulk_rule_far_fewer_times():
     strategy = composite_strategy(21)
     rule = strategy.guess_rule
@@ -511,10 +537,54 @@ class PairsByName:
         return self.rule.bulk_guesses(red_mask) | 0b100
 
 
-def test_cells_that_are_not_interchangeable_are_caught():
+class CountsItsRRPairs:
+    """composite_strategy(12) whose block members flip their guess when they
+    see an odd number of RR pairs among the other pairs of their block.  A
+    member's guess depends only on the block's composition and the cell's
+    own type, but a cell's score at a fixed red count and read value
+    depends on how many RR pairs hold those red hats."""
+
+    def __init__(self):
+        self.rule = composite_strategy(12).guess_rule
+        self.parts = self.rule.parts
+        self.blocks = [part.mask for part in self.parts]
+
+    def __call__(self, observer, view):
+        guess = self.rule(observer, view)
+        block = next(part for part in self.parts if observer in sum(part.cells, ()))
+        rr = sum(
+            view.color_of(x) is view.color_of(y) is Color.RED
+            for x, y in block.cells
+            if observer not in (x, y)
+        )
+        return guess.opposite() if rr % 2 else guess
+
+    def bulk_guesses(self, red_mask):
+        guesses = self.rule.bulk_guesses(red_mask)
+        for inside in self.blocks:
+            rr = red_mask & red_mask >> 1 & inside & 0x555  # first players of RR pairs
+            players = rr | rr << 1
+            guesses ^= inside & ~players if rr.bit_count() % 2 else players
+        return guesses
+
+
+def test_a_cell_whose_score_counts_rr_pairs_is_caught():
+    strategy = StrategyProfile(12, CountsItsRRPairs(), "counts-rr-pairs")
+    for red in range(1 << 12):  # a rule that never peeks: both paths agree everywhere
+        hats = HatDistribution(12, red)
+        assert evaluate(strategy, hats).correct_count == analysis._scorer(strategy, 12)(red)
+    # at 4 red hats, RR scores 0 in the cover (2 RR, 1 BB) and 2 in (1 RR, 1 RB, 1 BR)
+    part = re.escape("the RR cells of the part ((1, 2), (3, 4), (5, 6))")
+    with pytest.raises(ContractError, match=f"{part} score differently at 4 red hats"):
+        exhaustive_worst_case(strategy, 12)
+
+
+def test_cells_that_are_not_interchangeable_are_caught(monkeypatch):
     strategy = StrategyProfile(6, PairsByName(), "pairs-by-name")
-    with pytest.raises(ContractError, match="moving the cells"):
-        exhaustive_worst_case(strategy, 6)
+    monkeypatch.setattr(analysis, "_CELL_CHECKS", 0)
+    part = re.escape("the BB cells of the part ((1, 2), (3, 4), (5, 6))")
+    with pytest.raises(ContractError, match=f"{part} score differently at 0 red hats"):
+        exhaustive_worst_case(strategy, 6)  # the tables: players 1 and 5 call blue, 3 red
 
 
 class FlipsOnTheLastHat:
@@ -572,17 +642,30 @@ def bulk_calls(strategy, n):
 
 
 def test_joint_calls_cover_the_parts_together():
-    assert bulk_calls(composite_strategy(256), 256) <= 27_000  # 104_753 one part at a time
-    assert bulk_calls(pairing_strategy(canonical_pairing(1024)), 1024) <= 64  # 2_081
-    # one part: 13 compositions, 32 seeded masks and the witness re-score
+    # 4 blocks, 4 read values, 71 covers over the 65 red counts of 32 pairs: 1_136 calls
+    assert bulk_calls(composite_strategy(256), 256) <= 1_300
+    # the pairs read nothing and share 4 calls
+    assert bulk_calls(pairing_strategy(canonical_pairing(1024)), 1024) <= 64
+    # one part of single players: 13 red counts, one cover each, 32 seeded masks and the
+    # witness re-score
     assert bulk_calls(majority_strategy(12), 12) == 46
 
 
 def assert_joint_tables_exact(strategy):
+    """Every composition at every read value scores, by the sweep's scores
+    per cell type, what one call per composition reads off it."""
     n = strategy.n
     parts = analysis._check_parts(strategy, n)
     r_mask = full_mask(n) ^ sum(part.mask for part in parts if not part.modulus)
-    assert analysis._part_tables(strategy, r_mask, parts) == one_part_tables(strategy, r_mask, parts)
+    for table, part in zip(analysis._part_tables(strategy, r_mask, parts), parts):
+        reds, want = one_part_table(strategy.bulk, r_mask, part)
+        comps = list(analysis._compositions(len(part.cells), 1 << len(part.cells[0])))
+        assert [c for _, c in comps] == reds
+        got = [
+            [None if row[c] is None else sum(map(mul, comp, row[c])) for comp, c in comps]
+            for row in table.scores
+        ]
+        assert (table.part, table.mask, got) == (part, part.mask, want)
 
 
 @pytest.mark.parametrize("spectator", [0, 1])
@@ -628,8 +711,8 @@ class ReadsTwoModuli:
 
 
 def test_joint_tables_across_two_moduli(monkeypatch):
-    """K = 6: the small part has no composition with 5 red hats mod 6, so
-    some entries are left to the one-part fill."""
+    """K = 6: each part reads R alone, the small part mod 2 and the large
+    one mod 3."""
     strategy = StrategyProfile(10, ReadsTwoModuli(), "two-moduli")
     assert_joint_tables_exact(strategy)
     assert_orbit_exact(monkeypatch, strategy, 10)
@@ -649,8 +732,9 @@ def test_combine_two_pairs():
 def test_combine_joins_the_exact_reader():
     """composite_strategy(5): two pairs, and the spectator, player 5, who
     calls blue while R <= 1 and red from R = 2 on."""
-    cor = [array("H", [0, 1])] * 2 + [array("H", [1, 0])] * 3  # cor[R]: right if red, if blue
-    spectator = analysis._PartTable(Part(((5,),), 0), 0b10000, array("H", [1, 0]), cor)
+    # scores[R][c] per type (R, B): in blue (c = 0) it holds type B, in red (c = 1) type R
+    scores = [[(0, 1), (0, 0)]] * 2 + [[(0, 0), (1, 0)]] * 3
+    spectator = analysis._PartTable(Part(((5,),), 0), 0b10000, scores)
     losses, _, hist = analysis._combine([PAIR_ROW, PAIR_ROW], spectator, 5)
     assert losses == [2]
     assert hist == [0, 0, 16, 16, 0, 0]
@@ -662,7 +746,7 @@ def test_combine_across_two_moduli():
     """K = 6: each residue's worst loss and the histogram, against every
     distribution."""
     strategy = StrategyProfile(10, ReadsTwoModuli(), "two-moduli")
-    tables = one_part_tables(strategy, full_mask(10), strategy.guess_rule.parts)
+    tables = analysis._part_tables(strategy, full_mask(10), strategy.guess_rule.parts)
     losses, _, hist = analysis._combine([analysis._row(t) for t in tables], None, 10)
     correct = analysis._scorer(strategy, 10)
     want = [-1] * 6
@@ -689,7 +773,32 @@ def test_the_parts_check_makes_one_bulk_call_per_seeded_mask(monkeypatch):
 
 
 @pytest.mark.parametrize("kinds", [2, 4])
-def test_comp_index_inverts_compositions(kinds):
+def test_compositions_hold_each_count_tuple_once(kinds):
+    reds = (1, 0) if kinds == 2 else (2, 1, 1, 0)  # red hats in a cell of each type
     for cells in range(13):
-        comps = list(analysis._compositions(cells, kinds))
-        assert [analysis._comp_index(list(comp)) for comp in comps] == list(range(len(comps)))
+        every = [comp for comp in product(range(cells + 1), repeat=kinds) if sum(comp) == cells]
+        want = [(comp, sum(map(mul, comp, reds))) for comp in sorted(every, reverse=True)]
+        assert list(analysis._compositions(cells, kinds)) == want
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_covers_hold_every_type_a_red_count_allows(arity):
+    """Each cover has c red hats, and together they hold every type that
+    some composition with c red hats holds: one cover for single players,
+    and for pairs one when 4 <= c <= 2 * cells - 4, at most two otherwise."""
+    for cells in range(1, 13):
+        comps = list(analysis._compositions(cells, 1 << arity))
+        for c in range(arity * cells + 1):
+            covers = analysis._covers(cells, arity, c)
+            assert all((cover, c) in comps for cover in covers)
+            held = {kind for cover in covers for kind, count in enumerate(cover) if count}
+            allowed = {
+                kind
+                for comp, reds in comps
+                if reds == c
+                for kind, count in enumerate(comp)
+                if count
+            }
+            assert held == allowed
+            one = arity == 1 or c in (0, 2 * cells) or 4 <= c <= 2 * cells - 4
+            assert len(covers) == (1 if one else 2)
